@@ -128,7 +128,12 @@ def _model(max_seq_len: int, dtype: str | None = None, **overrides) -> DecoderLM
 
 
 def _time(setup, run, rounds: int) -> dict:
-    """Median wall-clock seconds of ``run(*setup())`` over ``rounds`` rounds."""
+    """Median wall-clock seconds of ``run(*setup())`` over ``rounds`` rounds.
+
+    One untimed warm-up call runs first, so first-call costs (imports, BLAS
+    and allocator warm-up, lazily built tables) never land in a timed round.
+    """
+    run(*(setup() if setup is not None else ()))
     times = []
     for _ in range(rounds):
         args = setup() if setup is not None else ()

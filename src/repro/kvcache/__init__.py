@@ -3,8 +3,9 @@
 Storage is paged: both the solo cache (:class:`LayerKVCache`) and the serving
 batch cache (:class:`BatchedLayerKVCache`) are thin views over per-layer
 :class:`BlockPool` page pools with ref-counted, copy-on-write pages — see
-:mod:`repro.kvcache.paged`.  A ``kv_dtype="int8"`` knob swaps the pools for
-:class:`QuantizedBlockPool` (int8 pages with per-page/per-head scales, see
+:mod:`repro.kvcache.paged`.  Each pool composes a page codec and a residency,
+both picked from its options at construction.  A ``kv_dtype="int8"`` knob
+selects the :class:`Int8Codec` (int8 pages with per-page/per-head scales, see
 :mod:`repro.kvcache.quant`) without changing any cache-facing API.
 
 An ``admission_policy="wtinylfu"`` knob swaps the prefix registry's LRU
@@ -13,8 +14,8 @@ leaf-first reclaim for frequency-aware W-TinyLFU admission
 :mod:`repro.kvcache.admission`) so hot shared prompt prefixes survive scan
 bursts of unique prompts.
 
-A ``tier0_pages`` knob enables **tiered KV offload**
-(:mod:`repro.kvcache.offload`): each pool keeps only that many pages
+A ``tier0_pages`` knob selects the :class:`TieredResidency` — **tiered KV
+offload** (:mod:`repro.kvcache.offload`): each pool keeps only that many pages
 resident in its tier-0 slabs and spills cold pages byte-exactly to a tier-1
 arena (``spill_backend="compressed"`` or ``"mmap"``), restoring them
 transparently on access — outputs stay bit-identical with offload on or off.
@@ -37,19 +38,17 @@ from repro.kvcache.paged import (
     PoolExhausted,
     PrefixMatch,
     PrefixRegistry,
+    check_kv_options,
     chunk_digest,
-    resolve_pool_class,
 )
 from repro.kvcache.offload import (
     SPILL_BACKENDS,
+    AllResident,
     CompressedSpillArena,
     MmapSpillArena,
-    TieredBlockPool,
-    TieredQuantizedBlockPool,
-    resolve_spill_arena,
-    resolve_tiered_pool_class,
+    TieredResidency,
 )
-from repro.kvcache.quant import QuantizedBlockPool
+from repro.kvcache.quant import IdentityCodec, Int8Codec
 from repro.kvcache.stats import CacheStats
 
 __all__ = [
@@ -70,15 +69,14 @@ __all__ = [
     "PoolExhausted",
     "PrefixMatch",
     "PrefixRegistry",
-    "QuantizedBlockPool",
+    "IdentityCodec",
+    "Int8Codec",
     "SPILL_BACKENDS",
+    "AllResident",
+    "TieredResidency",
     "CompressedSpillArena",
     "MmapSpillArena",
-    "TieredBlockPool",
-    "TieredQuantizedBlockPool",
+    "check_kv_options",
     "chunk_digest",
-    "resolve_pool_class",
-    "resolve_spill_arena",
-    "resolve_tiered_pool_class",
     "DEFAULT_PAGE_SIZE",
 ]

@@ -465,12 +465,12 @@ class BatchedCacheManager:
             spill_backend=spill_backend,
         )
         self.registry = PrefixRegistry(self.store)
-        if tier0_pages is not None:
-            # Victim selection reuses the registry's admission ranking:
-            # W-TinyLFU-protected prefix pages spill last (pure pool LRU
-            # under the default "lru" policy, where ranks are all zero).
-            for layer, pool in enumerate(self.store.pools):
-                pool.spill_ranker = self.registry.spill_ranker(layer)
+        # Spill-victim selection reuses the registry's admission ranking:
+        # W-TinyLFU-protected prefix pages spill last (pure pool LRU under the
+        # default "lru" policy, where ranks are all zero).  Never consulted
+        # when every page is resident.
+        for layer, pool in enumerate(self.store.pools):
+            pool.spill_ranker = self.registry.spill_ranker(layer)
         self.caches = [
             BatchedLayerKVCache(
                 max_batch, n_heads, d_head, pool=self.store.pools[layer]
@@ -963,18 +963,14 @@ class BatchedCacheManager:
 
     def prefetch_decode(self) -> int:
         """Bulk-restore the spilled pages of every active row before a decode
-        step — one :meth:`repro.kvcache.offload._TieredMixin.restore_pages`
-        call per layer, so the step's reads hit resident frames instead of
-        issuing one restore per page access.  No-op (returns 0) on
-        single-tier pools."""
+        step — one :meth:`repro.kvcache.paged.BlockPool.restore_pages` call
+        per layer, so the step's reads hit resident frames instead of issuing
+        one restore per page access.  Returns 0 when every page is resident."""
         restored = 0
         for cache in self.caches:
-            restore = getattr(cache.pool, "restore_pages", None)
-            if restore is None:
-                return 0
             pages: list[int] = []
             for table in cache.tables[: self.n_active]:
                 pages.extend(table.pages)
             if pages:
-                restored += restore(pages)
+                restored += cache.pool.restore_pages(pages)
         return restored

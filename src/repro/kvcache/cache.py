@@ -40,7 +40,6 @@ from repro.kvcache.paged import (
     BlockPool,
     PageTable,
     pages_needed,
-    resolve_pool_class,
 )
 from repro.models.positional import RopeTable
 
@@ -113,7 +112,7 @@ class LayerKVCache:
         cap = max(int(capacity) if capacity is not None else t, t, 1)
         if pool is None:
             ps = page_size or DEFAULT_PAGE_SIZE
-            pool = resolve_pool_class(kv_dtype)(
+            pool = BlockPool(
                 h,
                 d,
                 page_size=ps,
@@ -122,6 +121,7 @@ class LayerKVCache:
                 rope_dims=self.rope_dims,
                 rope_table=rope_table,
                 growable=True,
+                kv_dtype=kv_dtype,
             )
         self._pool = pool
 

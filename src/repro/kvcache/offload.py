@@ -1,15 +1,22 @@
-"""Tiered KV offload: hot pages resident in tier-0 frames, cold pages spilled.
+"""Page residency: where the pages of a :class:`~repro.kvcache.paged.BlockPool` live.
 
-The tiered pools keep the :class:`~repro.kvcache.paged.BlockPool` *logical*
-page space intact — page ids, refcounts, the free heap and copy-on-write all
-work exactly as before — but size the slabs to a fixed number of physical
-**frames** (``tier0_pages``).  A logical page is either *resident* (mapped to
-a frame) or *spilled* (its byte payload parked in a tier-1 arena) or *free*
-(unallocated, backed by nothing).  Every slab access funnels through the
-:meth:`~repro.kvcache.paged.BlockPool._page_base` storage hook, which
-transparently restores spilled pages on demand, evicting the coldest resident
-page when no frame is free — so the cache managers, the serving engine,
-prefix sharing, speculative rollback and eviction policies all run unchanged.
+A pool picks its residency once, at construction, from the ``tier0_pages``
+knob.  The residency owns the token-major storage slabs and maps a logical
+page id onto the slab slots backing it; the pool's page tables, refcounts,
+free heap and copy-on-write never see the difference.
+
+* :class:`AllResident` (``tier0_pages=None``, the default) sizes the slabs
+  to the whole page space — page ``p`` lives at slot ``p * page_size`` —
+  so a run of consecutive pages is a contiguous token axis and reads can be
+  zero-copy slab views.  Pinning is a no-op and nothing ever spills.
+* :class:`TieredResidency` sizes the slabs to a fixed number of physical
+  **frames** (``tier0_pages``).  A logical page is either *resident*
+  (mapped to a frame), *spilled* (its slab bytes parked in a tier-1 arena)
+  or *free* (unallocated, backed by nothing).  :meth:`TieredResidency.base`
+  — the one address lookup every slab access funnels through — restores
+  spilled pages on demand, evicting the coldest unpinned resident page when
+  no frame is free, so the cache managers, the serving engine, prefix
+  sharing, speculative rollback and eviction policies all run unchanged.
 
 Two arena backends (``spill_backend``) park cold payloads:
 
@@ -20,14 +27,14 @@ Two arena backends (``spill_backend``) park cold payloads:
   storage device; survives payloads larger than RAM compression wins).
 
 Determinism contract: a spill→restore round-trip is **byte-exact** — the
-payload is the raw slab bytes (int8 codes *and* the per-page quantization
-parameters for the quantized pool, raw float slabs otherwise) — so victim
-selection and frame placement can never change a computed value, and outputs
-are bit-identical with offload on or off.  Victim selection prefers the
-registry's W-TinyLFU segment ranking when a ``spill_ranker`` is installed
-(see :meth:`repro.kvcache.paged.PrefixRegistry.spill_ranker`) and falls back
-to least-recently-touched order, so the hot prefix working set stays
-resident.
+record is the raw slab bytes of the page (int8 codes or raw floats, plus
+positions); an int8 page's quantization parameters are indexed by logical
+page and never leave RAM — so victim selection and frame placement can never
+change a computed value, and outputs are bit-identical with offload on or
+off.  Victim selection prefers the registry's W-TinyLFU segment ranking when
+the pool has a ``spill_ranker`` installed (see
+:meth:`repro.kvcache.paged.PrefixRegistry.spill_ranker`) and falls back to
+least-recently-touched order, so the hot prefix working set stays resident.
 """
 
 from __future__ import annotations
@@ -36,26 +43,18 @@ import heapq
 import mmap
 import tempfile
 import zlib
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.kvcache.paged import (
-    BlockPool,
-    PageTable,
-    PoolExhausted,
-    tag_fault_row,
-)
-from repro.kvcache.quant import QuantizedBlockPool
+from repro.kvcache.paged import PoolExhausted
 
 __all__ = [
     "SPILL_BACKENDS",
+    "AllResident",
     "CompressedSpillArena",
     "MmapSpillArena",
-    "TieredBlockPool",
-    "TieredQuantizedBlockPool",
-    "resolve_spill_arena",
-    "resolve_tiered_pool_class",
+    "TieredResidency",
 ]
 
 #: Recognized ``spill_backend`` knob values (``None`` means ``"compressed"``).
@@ -197,92 +196,120 @@ class MmapSpillArena:
         self._high = 0
 
 
-def resolve_spill_arena(backend: str | None, record_nbytes: int):
-    """Arena instance for a ``spill_backend`` knob value (``None`` →
-    ``"compressed"``); ``record_nbytes`` sizes the mmap arena's records."""
-    name = "compressed" if backend is None else str(backend)
-    if name == "compressed":
-        return CompressedSpillArena()
-    if name == "mmap":
-        return MmapSpillArena(record_nbytes)
-    raise ValueError(
-        f"unknown spill_backend {backend!r}; expected one of {SPILL_BACKENDS}"
-    )
+def _zero_slabs(pool, n_pages: int) -> dict[str, np.ndarray]:
+    """Storage slabs backing ``n_pages`` pages of ``pool``, keyed by stream.
+
+    Token-major — ``(n_heads, n_pages * page_size, d_head)`` for keys,
+    values and (when ``rope_dims > 0``) rotated keys in the codec's storage
+    dtype, ``(n_heads, n_pages * page_size)`` int64 positions — in spill
+    record order.  ``np.zeros`` (not empty): padded/stale slots must stay
+    benign — the float32 serving path may touch them before masking.
+    """
+    shape = (pool.n_heads, n_pages * pool.page_size, pool.d_head)
+    dtype = pool.codec.storage_dtype
+    slabs = {
+        "k": np.zeros(shape, dtype=dtype),
+        "v": np.zeros(shape, dtype=dtype),
+        "pos": np.zeros(shape[:2], dtype=np.int64),
+    }
+    if pool.rope_dims > 0:
+        slabs["kr"] = np.zeros(shape, dtype=dtype)
+    return slabs
 
 
-class _TieredMixin:
-    """Frame indirection shared by :class:`TieredBlockPool` and
-    :class:`TieredQuantizedBlockPool`.
+class AllResident:
+    """Every logical page lives in the slabs at its own index.
 
-    Must be first in the MRO: it intercepts the
-    :meth:`~repro.kvcache.paged.BlockPool._page_base` /
-    :meth:`~repro.kvcache.quant.QuantizedBlockPool._page_of_slot` storage
-    hooks and the structural methods (``slot_map`` / ``token_runs`` /
-    ``token_view`` / ``is_contiguous`` / ``release`` / ``_grow`` /
-    ``_copy_on_write``) so the concrete pools' data paths run unchanged on
-    top of a resident-frame window.  dtype-specific read/append overrides
-    (``fill_row``, the vectorized ``append_rows``) live on the concrete
-    subclasses — putting them here would shadow the quantized pool's
-    dequantizing implementations.
+    Plain page arithmetic, so the pool keeps its zero-copy contiguous view.
+    The slabs grow with the page space; pins, frees and restores are no-ops.
     """
 
-    def __init__(
-        self,
-        *args,
-        tier0_pages: int = 2,
-        spill_backend: str | None = None,
-        **kwargs,
-    ):
-        tier0_pages = int(tier0_pages)
-        if tier0_pages < 2:
-            # Copy-on-write resolves a source and a destination frame at
-            # once, so one frame can never make progress.
-            raise ValueError("tier0_pages must be >= 2")
-        backend = "compressed" if spill_backend is None else str(spill_backend)
-        if backend not in SPILL_BACKENDS:
-            raise ValueError(
-                f"unknown spill_backend {spill_backend!r}; expected one of "
-                f"{SPILL_BACKENDS}"
-            )
-        # The base constructor sizes the slabs through _slab_pages, which
-        # reads this — it must exist before super().__init__ runs.
-        self._tier0_pages = tier0_pages
-        super().__init__(*args, **kwargs)
-        self.spill_backend = backend
-        self._page_frame = np.full(self.n_pages, -1, dtype=np.int64)
+    contiguous = True
+
+    def __init__(self, pool, n_pages: int):
+        self.page_size = pool.page_size
+        self.slabs = _zero_slabs(pool, n_pages)
+
+    def base(self, page: int) -> int:
+        """First slab slot backing logical ``page``."""
+        return page * self.page_size
+
+    def pin(self, pages: Iterable[int]) -> None:
+        """No-op: a resident page is never evicted."""
+
+    def unpin(self, pages: Iterable[int]) -> None:
+        """No-op (see :meth:`pin`)."""
+
+    def free(self, page: int) -> None:
+        """No-op: a freed page keeps its slots for the next allocation."""
+
+    def grow(self, n_pages: int) -> None:
+        """Grow the slabs (zero-padded) to back ``n_pages`` pages."""
+        n_slots = n_pages * self.page_size
+        for name, slab in self.slabs.items():
+            fresh = np.zeros((slab.shape[0], n_slots) + slab.shape[2:], dtype=slab.dtype)
+            fresh[:, : slab.shape[1]] = slab
+            self.slabs[name] = fresh
+
+    def restore_pages(self, pages: Iterable[int]) -> int:
+        """Nothing is ever spilled, so nothing is restored."""
+        return 0
+
+    def page_state(self, page: int) -> str:
+        """Always ``"resident"``."""
+        return "resident"
+
+    def usage(self) -> dict:
+        """No tier telemetry."""
+        return {}
+
+    def audit(self, label: str) -> list[str]:
+        """Nothing beyond the pool's own bookkeeping to audit."""
+        return []
+
+
+class TieredResidency:
+    """``tier0_pages`` resident frames in front of a spill arena.
+
+    Frames move under spill/restore, so there is no stable zero-copy view
+    (``contiguous`` is false) and the pool walks every read and write page
+    by page through :meth:`base`.  The pool's ``spill_hook`` fault callback
+    fires before every transfer and its ``spill_ranker`` ranks victims.
+    """
+
+    contiguous = False
+
+    def __init__(self, pool, n_pages: int, tier0_pages: int, spill_backend: str | None):
+        self.pool = pool
+        self.page_size = pool.page_size
+        self.spill_backend = "compressed" if spill_backend is None else spill_backend
+        self.slabs = _zero_slabs(pool, tier0_pages)
+        self._page_frame = np.full(n_pages, -1, dtype=np.int64)
         self._frame_page = np.full(tier0_pages, -1, dtype=np.int64)
-        self._free_frames = list(range(tier0_pages))
-        heapq.heapify(self._free_frames)
-        self._last_touch = np.zeros(self.n_pages, dtype=np.int64)
+        self._free_frames = list(range(tier0_pages))  # ascending: already a heap
+        self._last_touch = np.zeros(n_pages, dtype=np.int64)
         self._tier_clock = 0
         #: Pages the in-flight operation holds resident (page -> pin count);
         #: pinned pages are never chosen as spill victims.  Always empty
         #: between operations — a leak is an integrity violation.
         self._pins: dict[int, int] = {}
-        #: Optional victim-ranking callback (lower rank spills first) —
-        #: typically :meth:`repro.kvcache.paged.PrefixRegistry.spill_ranker`,
-        #: which keeps W-TinyLFU-protected prefix pages resident longest.
-        self.spill_ranker: Callable[[int], int] | None = None
-        #: Optional fault-injection callback fired before every spill and
-        #: restore transfer (the ``spill_io`` injection point); it raises
-        #: *before* any state mutates, so an injected fault leaves both the
-        #: pool and the arena exactly as they were.
-        self.spill_hook: Callable[[], None] | None = None
-        self.arena = resolve_spill_arena(backend, self._payload_nbytes())
+        record_nbytes = sum(s[:, : self.page_size].nbytes for s in self.slabs.values())
+        self.arena = (
+            MmapSpillArena(record_nbytes)
+            if self.spill_backend == "mmap"
+            else CompressedSpillArena()
+        )
         self.n_spills = 0
         self.n_restores = 0
         self.spill_bytes = 0
         self.restore_bytes = 0
 
-    # ------------------------------------------------------------------
-    # storage hooks
-    # ------------------------------------------------------------------
-    def _slab_pages(self, n_pages: int) -> int:
-        """Slabs hold ``tier0_pages`` physical frames regardless of the
-        logical page count."""
-        return self._tier0_pages
+    @property
+    def n_frames(self) -> int:
+        """Physical tier-0 frames the slabs hold."""
+        return self._frame_page.shape[0]
 
-    def _page_base(self, page: int) -> int:
+    def base(self, page: int) -> int:
         """First slab slot backing logical ``page``, restoring it into a
         tier-0 frame first when it is spilled (the coldest resident page is
         evicted to make room).  Also the LRU touch point."""
@@ -296,20 +323,11 @@ class _TieredMixin:
     # ------------------------------------------------------------------
     # frame management
     # ------------------------------------------------------------------
-    @property
-    def n_frames(self) -> int:
-        """Physical tier-0 frames the slabs hold."""
-        return self._frame_page.shape[0]
-
-    def _slabs(self) -> list[np.ndarray]:
-        """The live storage slabs, in payload order."""
-        return [s for s in (self._k, self._v, self._pos, self._k_rot) if s is not None]
-
     def _assign_frame(self, page: int) -> int:
         """Map ``page`` onto a tier-0 frame: take a free frame or spill the
         coldest unpinned resident page, then restore ``page``'s payload from
         the arena (or zero the frame for a never-written page — preserving
-        the benign-padding contract of the base slabs)."""
+        the benign-padding contract of the slabs)."""
         if self._free_frames:
             frame = heapq.heappop(self._free_frames)
         else:
@@ -321,7 +339,7 @@ class _TieredMixin:
                 self._restore_page(page, frame)
             else:
                 base = frame * self.page_size
-                for slab in self._slabs():
+                for slab in self.slabs.values():
                     slab[:, base : base + self.page_size] = 0
         except BaseException:
             # The restore failed before anything was written; hand the frame
@@ -336,13 +354,14 @@ class _TieredMixin:
     def _choose_victim(self) -> int:
         """Coldest unpinned resident page: minimal ``(spill rank, last
         touch, page id)`` — pure LRU when no ranker is installed."""
+        ranker = self.pool.spill_ranker
         best = -1
         best_key: tuple[int, int, int] | None = None
         for frame in range(self.n_frames):
             page = int(self._frame_page[frame])
             if page < 0 or self._pins.get(page):
                 continue
-            rank = self.spill_ranker(page) if self.spill_ranker is not None else 0
+            rank = ranker(page) if ranker is not None else 0
             key = (rank, int(self._last_touch[page]), page)
             if best_key is None or key < best_key:
                 best, best_key = page, key
@@ -354,14 +373,17 @@ class _TieredMixin:
         return best
 
     def _spill_page(self, page: int, frame: int) -> None:
-        """Park resident ``page``'s payload in the arena and unmap its frame.
-
-        The ``spill_hook`` fires before any mutation, so an injected
-        ``spill_io`` fault leaves the page resident and the arena unchanged.
-        """
-        if self.spill_hook is not None:
-            self.spill_hook()
-        payload = self._page_payload(page, frame)
+        """Park resident ``page``'s slab bytes in the arena and unmap its
+        frame.  The pool's ``spill_hook`` fires before any mutation, so an
+        injected ``spill_io`` fault leaves the page resident and the arena
+        unchanged."""
+        if self.pool.spill_hook is not None:
+            self.pool.spill_hook()
+        base = frame * self.page_size
+        payload = b"".join(
+            np.ascontiguousarray(slab[:, base : base + self.page_size]).tobytes()
+            for slab in self.slabs.values()
+        )
         self.arena.store(page, payload)
         self._page_frame[page] = -1
         self._frame_page[frame] = -1
@@ -369,77 +391,33 @@ class _TieredMixin:
         self.spill_bytes += len(payload)
 
     def _restore_page(self, page: int, frame: int) -> None:
-        """Copy ``page``'s spilled payload back into ``frame`` and drop the
-        arena record.  ``spill_hook`` fires before any mutation."""
-        if self.spill_hook is not None:
-            self.spill_hook()
+        """Copy ``page``'s spilled slab bytes back into ``frame`` and drop
+        the arena record.  ``spill_hook`` fires before any mutation."""
+        if self.pool.spill_hook is not None:
+            self.pool.spill_hook()
         payload = self.arena.load(page)
-        self._load_payload(page, frame, payload)
+        base = frame * self.page_size
+        offset = 0
+        for slab in self.slabs.values():
+            dst = slab[:, base : base + self.page_size]
+            chunk = np.frombuffer(payload, dtype=slab.dtype, count=dst.size, offset=offset)
+            dst[...] = chunk.reshape(dst.shape)
+            offset += dst.nbytes
         self.arena.drop(page)
         self.n_restores += 1
         self.restore_bytes += len(payload)
 
     # ------------------------------------------------------------------
-    # payload serialization (byte-exact by construction)
+    # pool callbacks
     # ------------------------------------------------------------------
-    def _page_payload(self, page: int, frame: int) -> bytes:
-        """Raw bytes of ``page``'s slab slice in ``frame`` plus any per-page
-        state (:meth:`_page_state_payload`)."""
-        ps = self.page_size
-        base = frame * ps
-        parts = [
-            np.ascontiguousarray(slab[:, base : base + ps]).tobytes()
-            for slab in self._slabs()
-        ]
-        parts.append(self._page_state_payload(page))
-        return b"".join(parts)
-
-    def _load_payload(self, page: int, frame: int, payload: bytes) -> None:
-        """Write a :meth:`_page_payload` byte string back into ``frame``."""
-        ps = self.page_size
-        base = frame * ps
-        offset = 0
-        for slab in self._slabs():
-            shape = (slab.shape[0], ps) + slab.shape[2:]
-            count = int(np.prod(shape))
-            chunk = np.frombuffer(payload, dtype=slab.dtype, count=count, offset=offset)
-            slab[:, base : base + ps] = chunk.reshape(shape)
-            offset += count * slab.dtype.itemsize
-        self._load_page_state(page, payload, offset)
-
-    def _payload_nbytes(self) -> int:
-        """Exact byte size of one page's payload (sizes mmap records)."""
-        ps = self.page_size
-        total = 0
-        for slab in self._slabs():
-            per_slot = slab.shape[2] if slab.ndim == 3 else 1
-            total += slab.shape[0] * ps * per_slot * slab.dtype.itemsize
-        return total + self._extra_payload_nbytes()
-
-    def _page_state_payload(self, page: int) -> bytes:
-        """Hook: per-page state appended to the slab payload (empty here;
-        the quantized pool appends its parameter rows)."""
-        return b""
-
-    def _load_page_state(self, page: int, payload: bytes, offset: int) -> None:
-        """Hook: restore per-page state written by
-        :meth:`_page_state_payload` (no-op here)."""
-
-    def _extra_payload_nbytes(self) -> int:
-        """Hook: byte size of :meth:`_page_state_payload` (zero here)."""
-        return 0
-
-    # ------------------------------------------------------------------
-    # pinning / bulk residency
-    # ------------------------------------------------------------------
-    def _pin(self, pages: Iterable[int]) -> None:
+    def pin(self, pages: Iterable[int]) -> None:
         """Guard ``pages`` against eviction for the in-flight operation."""
         for page in pages:
             page = int(page)
             self._pins[page] = self._pins.get(page, 0) + 1
 
-    def _unpin(self, pages: Iterable[int]) -> None:
-        """Drop one pin per page (inverse of :meth:`_pin`)."""
+    def unpin(self, pages: Iterable[int]) -> None:
+        """Drop one pin per page (inverse of :meth:`pin`)."""
         for page in pages:
             page = int(page)
             count = self._pins.get(page, 0) - 1
@@ -448,37 +426,36 @@ class _TieredMixin:
             else:
                 self._pins[page] = count
 
-    def _ensure_resident(self, pages: Iterable[int]) -> None:
-        """Make every page in ``pages`` simultaneously resident (pinning
-        them against each other's restores); raises
-        :class:`~repro.kvcache.paged.PoolExhausted` when they cannot all fit
-        in tier-0 at once."""
-        ordered = list(dict.fromkeys(int(p) for p in pages))
-        if len(ordered) > self.n_frames:
-            raise PoolExhausted(
-                f"operation needs {len(ordered)} simultaneously resident "
-                f"pages but the pool has only {self.n_frames} tier-0 frames; "
-                "raise tier0_pages"
-            )
-        self._pin(ordered)
-        try:
-            for page in ordered:
-                if self._page_frame[page] < 0:
-                    self._assign_frame(page)
-        finally:
-            self._unpin(ordered)
+    def free(self, page: int) -> None:
+        """A page dropped to refcount zero gives up its frame or its arena
+        record (no spill-index leaks)."""
+        page = int(page)
+        frame = int(self._page_frame[page])
+        if frame >= 0:
+            self._page_frame[page] = -1
+            self._frame_page[frame] = -1
+            heapq.heappush(self._free_frames, frame)
+        else:
+            self.arena.drop(page)
+
+    def grow(self, n_pages: int) -> None:
+        """Grow the page maps only; the slabs stay at ``tier0_pages`` frames
+        (growth never buys residency, it buys spillable capacity)."""
+        extra = n_pages - self._page_frame.shape[0]
+        self._page_frame = np.concatenate([self._page_frame, np.full(extra, -1, dtype=np.int64)])
+        self._last_touch = np.concatenate([self._last_touch, np.zeros(extra, dtype=np.int64)])
 
     def restore_pages(self, pages: Iterable[int]) -> int:
         """Bulk-restore spilled ``pages`` (engine prefetch): restores as many
         as fit in tier-0, newly restored pages pinned for the duration of
         the call so the batch cannot thrash itself.  Returns the number of
         pages restored."""
+        n_pages = self._page_frame.shape[0]
         wanted = [
             p
             for p in dict.fromkeys(int(p) for p in pages)
-            if 0 <= p < self.n_pages and self._page_frame[p] < 0 and p in self.arena
+            if 0 <= p < n_pages and self._page_frame[p] < 0 and p in self.arena
         ][: self.n_frames]
-        restored = 0
         pinned: list[int] = []
         try:
             for page in wanted:
@@ -486,191 +463,16 @@ class _TieredMixin:
                     self._assign_frame(page)
                 except PoolExhausted:
                     break
-                self._pin([page])
+                self.pin([page])
                 pinned.append(page)
-                restored += 1
         finally:
-            self._unpin(pinned)
-        return restored
-
-    # ------------------------------------------------------------------
-    # structural overrides
-    # ------------------------------------------------------------------
-    def is_contiguous(self, table: PageTable) -> bool:
-        """Always ``False``: frames move under spill/restore, so no stable
-        zero-copy slab view exists — spilled pages hold no live views."""
-        return False
-
-    def slot_map(self, table: PageTable) -> np.ndarray:
-        """Flat *frame* slot of every live token (the whole table is made
-        resident first — compaction's vectorized gather needs all source
-        slots valid at once)."""
-        if not table.pages:
-            return np.empty(0, dtype=np.int64)
-        self._ensure_resident(table.pages)
-        frames = self._page_frame[np.asarray(table.pages, dtype=np.int64)]
-        slots = (
-            frames[:, None] * self.page_size + np.arange(self.page_size)
-        ).reshape(-1)
-        return slots[table.offset : table.end]
-
-    def token_runs(self, table: PageTable) -> list[tuple[int, int, int]]:
-        """Per-page frame-slot runs of the live tokens (the whole table is
-        made resident first; runs never span pages because adjacent logical
-        pages land on arbitrary frames)."""
-        self._ensure_resident(table.pages)
-        ps = self.page_size
-        runs: list[tuple[int, int, int]] = []
-        logical = 0
-        while logical < table.length:
-            slot = table.offset + logical
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, table.length - logical)
-            runs.append((logical, self._page_base(page) + within, chunk))
-            logical += chunk
-        return runs
-
-    def token_view(self, table: PageTable, slab: np.ndarray) -> np.ndarray:
-        """Dense copy of the live tokens, streamed page by page — each page
-        is restored just for its memcpy, so a row longer than tier-0 still
-        reads with as little as one free frame."""
-        if table.length == 0:
-            return slab[:, :0]
-        ps = self.page_size
-        out = np.empty((slab.shape[0], table.length) + slab.shape[2:], dtype=slab.dtype)
-        logical = 0
-        while logical < table.length:
-            slot = table.offset + logical
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, table.length - logical)
-            base = self._page_base(page) + within
-            out[:, logical : logical + chunk] = slab[:, base : base + chunk]
-            logical += chunk
-        return out
-
-    def gather(self, table: PageTable, indices: np.ndarray) -> int:
-        """Eviction compaction without a whole-row residency requirement.
-
-        The base pool's general path gathers every surviving slot in one
-        vectorized take, which would need all source pages resident at once.
-        Here survivors are instead selected from the dense streamed views
-        (page-at-a-time restores), then written back through
-        ``_write_all`` — elementwise the same reads and writes, so the
-        result is bit-identical to the single-tier pool's.  The identity /
-        pure-suffix fast path is pure bookkeeping and delegates to the base
-        implementation untouched.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim == 3:
-            indices = indices[0]
-        length = table.length
-        if indices.shape[0] != self.n_heads:
-            raise ValueError(
-                f"gather expects ({self.n_heads}, K) indices, got {indices.shape}"
-            )
-        if indices.size and (indices.min() < 0 or indices.max() >= length):
-            raise IndexError("gather indices out of range")
-        k = indices.shape[-1]
-        dropped = length - k
-        if bool((indices == np.arange(dropped, length)).all()):
-            return super().gather(table, indices)
-        hidx = np.arange(self.n_heads)[:, None]
-        keys = self.keys_view(table)[hidx, indices]
-        values = self.values_view(table)[hidx, indices]
-        positions = self.positions_view(table)[hidx, indices]
-        k_rot = (
-            self.rotated_view(table)[hidx, indices]
-            if self._k_rot is not None
-            else None
-        )
-        data = [keys, values, positions, k_rot]
-        n_needed = self.pages_for(max(k, 1))
-        if self._exclusive(table):
-            self.release(table.pages[n_needed:])
-            del table.pages[n_needed:]
-        else:
-            fresh = self.alloc(n_needed)
-            self.release(table.pages)
-            table.pages = fresh
-        table.offset = 0
-        table.length = k
-        self._write_all(table, data)
-        return dropped
-
-    def _copy_on_write(self, table: PageTable, page_index: int) -> None:
-        """Exception-safe tiered copy-on-write.
-
-        Replaces (rather than wraps) the base implementation for two
-        reasons: the source page must be *pinned* so resolving the
-        destination's frame cannot evict it mid-copy, and a spill/restore
-        fault while resolving either frame must not leak the freshly
-        allocated destination page — the base version allocates first and
-        only publishes the page into the table after the copy, so an
-        injected ``spill_io`` fault in between would strand a refcount.
-        """
-        if self._n_shared == 0:
-            return
-        page = table.pages[page_index]
-        if self.refcounts[page] == 1:
-            return
-        self._pin([page])
-        try:
-            (fresh,) = self.alloc(1)
-            try:
-                ps = self.page_size
-                src = self._page_base(page)
-                dst = self._page_base(fresh)
-                for slab in self._slabs():
-                    slab[:, dst : dst + ps] = slab[:, src : src + ps]
-                self._copy_page_state(page, fresh)
-            except BaseException:
-                self.release([fresh])
-                raise
-            table.pages[page_index] = fresh
-            self.release([page])
-        finally:
-            self._unpin([page])
-
-    def release(self, pages: Iterable[int]) -> None:
-        """Release references; pages dropping to refcount zero also give up
-        their frame or arena record (no spill-index leaks)."""
-        pages = [int(p) for p in pages]
-        super().release(pages)
-        for page in pages:
-            if self.refcounts[page] == 0:
-                frame = int(self._page_frame[page])
-                if frame >= 0:
-                    self._page_frame[page] = -1
-                    self._frame_page[frame] = -1
-                    heapq.heappush(self._free_frames, frame)
-                elif page in self.arena:
-                    self.arena.drop(page)
-
-    def _grow(self, min_pages: int) -> None:
-        """Grow the *logical* page space only — refcounts, the free heap and
-        the tier maps; the slabs stay at ``tier0_pages`` frames (growth never
-        buys residency, it buys spillable capacity)."""
-        old = self.n_pages
-        new_pages = max(min_pages, 2 * old)
-        self.refcounts = np.concatenate(
-            [self.refcounts, np.zeros(new_pages - old, dtype=np.int64)]
-        )
-        self._page_frame = np.concatenate(
-            [self._page_frame, np.full(new_pages - old, -1, dtype=np.int64)]
-        )
-        self._last_touch = np.concatenate(
-            [self._last_touch, np.zeros(new_pages - old, dtype=np.int64)]
-        )
-        for page in range(old, new_pages):
-            heapq.heappush(self._free, page)
-        self._grow_page_state(new_pages)
+            self.unpin(pinned)
+        return len(pinned)
 
     # ------------------------------------------------------------------
     # telemetry / auditing
     # ------------------------------------------------------------------
-    def tier_usage(self) -> dict:
+    def usage(self) -> dict:
         """Tier telemetry: frame count, resident/spilled pages, cumulative
         spill/restore transfer counts and bytes, and current arena bytes."""
         return {
@@ -684,7 +486,7 @@ class _TieredMixin:
             "spilled_nbytes": self.arena.nbytes(),
         }
 
-    def tier_page_state(self, page: int) -> str:
+    def page_state(self, page: int) -> str:
         """``"resident"``, ``"spilled"`` or ``"free"`` — every page is in
         exactly one of these states (the resident-XOR-spilled invariant)."""
         if self._page_frame[page] >= 0:
@@ -693,24 +495,17 @@ class _TieredMixin:
             return "spilled"
         return "free"
 
-    def check_invariants(
-        self,
-        owners: Sequence[PageTable] | None = None,
-        pinned: Iterable[int] = (),
-        label: str = "pool",
-    ) -> list[str]:
-        """Base-pool audit plus the tier invariants: a page is resident XOR
-        spilled XOR free, the page↔frame maps are mutually inverse, the
-        free-frame list is exactly the unmapped frames, every arena record
-        belongs to a live (refcount > 0) page, and no operation leaked a
-        pin."""
-        violations = super().check_invariants(owners=owners, pinned=pinned, label=label)
-        n_frames = self.n_frames
-        for page in range(self.n_pages):
+    def audit(self, label: str) -> list[str]:
+        """Tier invariants: a page is resident XOR spilled XOR free, the
+        page↔frame maps are mutually inverse, the free-frame list is exactly
+        the unmapped frames, every arena record belongs to a live
+        (refcount > 0) page, and no operation leaked a pin."""
+        violations: list[str] = []
+        refcounts = self.pool.refcounts
+        n_pages, n_frames = refcounts.shape[0], self.n_frames
+        for page in np.flatnonzero(self._page_frame >= 0).tolist():
             frame = int(self._page_frame[page])
-            if frame < 0:
-                continue
-            if not 0 <= frame < n_frames:
+            if frame >= n_frames:
                 violations.append(
                     f"{label}: tier page {page} maps frame {frame} out of range"
                 )
@@ -725,9 +520,7 @@ class _TieredMixin:
                 )
         for frame in range(n_frames):
             page = int(self._frame_page[frame])
-            if page >= 0 and (
-                page >= self.n_pages or int(self._page_frame[page]) != frame
-            ):
+            if page >= 0 and (page >= n_pages or int(self._page_frame[page]) != frame):
                 violations.append(
                     f"{label}: tier frame {frame} claims page {page} which "
                     "does not map back"
@@ -741,11 +534,9 @@ class _TieredMixin:
                 f"{label}: free-frame list {free} != unmapped frames {unmapped}"
             )
         for page in self.arena.keys():
-            if not 0 <= page < self.n_pages:
-                violations.append(
-                    f"{label}: spill index holds out-of-range page {page}"
-                )
-            elif self.refcounts[page] == 0:
+            if not 0 <= page < n_pages:
+                violations.append(f"{label}: spill index holds out-of-range page {page}")
+            elif refcounts[page] == 0:
                 violations.append(
                     f"{label}: spill-index leak — page {page} is spilled but "
                     "has refcount 0"
@@ -753,159 +544,3 @@ class _TieredMixin:
         if self._pins:
             violations.append(f"{label}: pin(s) leaked: {dict(self._pins)}")
         return violations
-
-
-class TieredBlockPool(_TieredMixin, BlockPool):
-    """Full-precision :class:`~repro.kvcache.paged.BlockPool` with tiered
-    offload: raw float slabs spill byte-exactly, so reads reproduce the
-    single-tier pool bit for bit."""
-
-    def append_rows(
-        self,
-        tables: Sequence[PageTable],
-        k: np.ndarray,
-        v: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        """Vectorized one-token-per-table append with destination pinning:
-        each row's destination page is pinned as its slot resolves, so a
-        later row's restore cannot evict an earlier row's frame before the
-        single scatter write lands."""
-        if not len(tables):
-            return
-        slots = np.empty(len(tables), dtype=np.int64)
-        pinned: list[int] = []
-        try:
-            for i, table in enumerate(tables):
-                try:
-                    slots[i] = self._append_slot(table)
-                    page = table.pages[table.end // self.page_size]
-                    self._pin([page])
-                    pinned.append(page)
-                except Exception as exc:
-                    tag_fault_row(exc, i)
-                    raise
-            positions = np.asarray(positions, dtype=np.int64)
-            self._k[:, slots] = k.transpose(1, 0, 2)
-            self._v[:, slots] = v.transpose(1, 0, 2)
-            self._pos[:, slots] = positions
-            if self._k_rot is not None:
-                k_rot = self.rope_table.rotate(k, positions[:, None])
-                self._k_rot[:, slots] = k_rot.transpose(1, 0, 2)
-            for table in tables:
-                table.length += 1
-        finally:
-            self._unpin(pinned)
-
-    def fill_row(
-        self,
-        table: PageTable,
-        out_k: np.ndarray,
-        out_v: np.ndarray,
-        out_pos: np.ndarray,
-        rotated: bool,
-    ) -> None:
-        """Padded-batch read streamed page by page (each page restored just
-        for its memcpy — rows longer than tier-0 read fine)."""
-        if table.length == 0:
-            return
-        keys = self._k_rot if rotated else self._k
-        ps = self.page_size
-        logical = 0
-        while logical < table.length:
-            slot = table.offset + logical
-            page = table.pages[slot // ps]
-            within = slot % ps
-            chunk = min(ps - within, table.length - logical)
-            base = self._page_base(page) + within
-            dst = slice(logical, logical + chunk)
-            out_k[:, dst] = keys[:, base : base + chunk]
-            out_v[:, dst] = self._v[:, base : base + chunk]
-            out_pos[:, dst] = self._pos[:, base : base + chunk]
-            logical += chunk
-
-
-class TieredQuantizedBlockPool(_TieredMixin, QuantizedBlockPool):
-    """Int8 :class:`~repro.kvcache.quant.QuantizedBlockPool` with tiered
-    offload.  Quantization parameters stay RAM-resident (they are indexed by
-    *logical* page), but each spill payload carries the page's codes **and**
-    its parameter rows, so a spill record is self-contained and the
-    round-trip is byte-exact for codes and params alike.  The quantized
-    per-page read/write paths (``_dequant_view``, ``_quantize_into``,
-    ``fill_row``) already chunk per logical page through ``_page_base``, so
-    they stream through tier-0 unchanged."""
-
-    def _page_of_slot(self, slots):
-        """Logical page owning flat *frame* slot(s) — the frame→page map
-        lookup (scalar or vectorized)."""
-        return self._frame_page[slots // self.page_size]
-
-    def _reset_page_params(self, pages: Sequence[int]) -> None:
-        """Reset parameter ranges, mirroring the reset into any spilled
-        record: compaction resets pages it is about to rewrite, and if such
-        a page sits in the arena its stored param section would otherwise
-        resurrect the stale (wider) range on restore."""
-        super()._reset_page_params(pages)
-        extra = self._extra_payload_nbytes()
-        for page in pages:
-            page = int(page)
-            if page in self.arena:
-                payload = self.arena.load(page)
-                self.arena.store(
-                    page, payload[: len(payload) - extra] + self._page_state_payload(page)
-                )
-
-    def _page_state_payload(self, page: int) -> bytes:
-        """The page's float32 parameter rows (scale, zero, lo, hi per
-        quantized stream), appended to the code payload."""
-        parts = []
-        for name in self._qnames:
-            for store in (self._qscale, self._qzero, self._qlo, self._qhi):
-                parts.append(store[name][page].tobytes())
-        return b"".join(parts)
-
-    def _load_page_state(self, page: int, payload: bytes, offset: int) -> None:
-        """Restore the parameter rows written by :meth:`_page_state_payload`."""
-        n = self.n_heads
-        for name in self._qnames:
-            for store in (self._qscale, self._qzero, self._qlo, self._qhi):
-                store[name][page] = np.frombuffer(
-                    payload, dtype=np.float32, count=n, offset=offset
-                )
-                offset += n * 4
-
-    def _extra_payload_nbytes(self) -> int:
-        """Bytes of the per-page parameter rows (4 float32 rows per stream)."""
-        return len(self._qnames) * 4 * self.n_heads * 4
-
-    def check_invariants(
-        self,
-        owners: Sequence[PageTable] | None = None,
-        pinned: Iterable[int] = (),
-        label: str = "pool",
-    ) -> list[str]:
-        """Tier + quantization audit, plus the spill-record cross-check:
-        every spilled page's stored parameter section must equal the live
-        (RAM-resident) parameters — a mismatch means a restore would change
-        dequantized values, breaking the byte-exactness contract."""
-        violations = super().check_invariants(owners=owners, pinned=pinned, label=label)
-        extra = self._extra_payload_nbytes()
-        for page in list(self.arena.keys()):
-            payload = self.arena.load(page)
-            if payload[len(payload) - extra :] != self._page_state_payload(page):
-                violations.append(
-                    f"{label}: spilled page {page} parameter section diverged "
-                    "from the live quantization parameters"
-                )
-        return violations
-
-
-def resolve_tiered_pool_class(base_cls: type[BlockPool]) -> type[BlockPool]:
-    """Tiered variant of a single-tier pool class (how
-    :class:`~repro.kvcache.paged.PagedKVStore` upgrades its pools when
-    ``tier0_pages`` is set)."""
-    if issubclass(base_cls, QuantizedBlockPool):
-        return TieredQuantizedBlockPool
-    if issubclass(base_cls, BlockPool):
-        return TieredBlockPool
-    raise ValueError(f"no tiered variant for pool class {base_cls!r}")

@@ -24,7 +24,10 @@ layer mapping its logical token axis onto pool pages:
 Pages within one pool share the token-major layout ``(heads, n_pages *
 page_size, d_head)``, so "physically contiguous pages" literally means a
 contiguous token axis — exactly the slab layout the attention einsum's memory
-locality depends on.
+locality depends on.  What a page stores (the compute dtype, or int8 codes)
+is the pool's page codec (:mod:`repro.kvcache.quant`); where it lives (always
+in the slabs, or in tier-0 frames in front of a spill arena) is its residency
+(:mod:`repro.kvcache.offload`).  Both are picked once, when the pool is built.
 
 :class:`PrefixRegistry` implements vLLM-style prefix caching on top of the
 ref-counts: page-aligned chunks of prompt token ids are hashed (chained, so a
@@ -42,11 +45,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.kvcache.admission import resolve_admission_policy
+from repro.kvcache.quant import CODECS, IdentityCodec
 from repro.models.positional import RopeTable, get_rope_table
 
 __all__ = [
@@ -59,7 +63,7 @@ __all__ = [
     "PagedKVStore",
     "PrefixMatch",
     "PrefixRegistry",
-    "resolve_pool_class",
+    "check_kv_options",
 ]
 
 DEFAULT_PAGE_SIZE = 16
@@ -128,13 +132,57 @@ class PageTable:
         return table
 
 
+def check_kv_options(
+    kv_dtype: str | None,
+    tier0_pages: int | None = None,
+    spill_backend: str | None = None,
+) -> type:
+    """Validate a pool's storage options; return the page-codec class.
+
+    The one place ``kv_dtype``, ``tier0_pages`` and ``spill_backend`` are
+    checked: ``kv_dtype`` is ``None``/``"native"`` (full precision) or
+    ``"int8"``; ``spill_backend`` needs ``tier0_pages`` and is
+    ``"compressed"`` or ``"mmap"``; ``tier0_pages`` is at least 2, because
+    copy-on-write resolves a source and a destination frame at once.
+    """
+    # Imported on use: offload.py imports this module's PoolExhausted.
+    from repro.kvcache.offload import SPILL_BACKENDS
+
+    if kv_dtype not in CODECS:
+        raise ValueError(f"unknown kv_dtype {kv_dtype!r}; expected None, 'native' or 'int8'")
+    if spill_backend is not None and tier0_pages is None:
+        raise ValueError(
+            "spill_backend requires tier0_pages — KV offload is enabled "
+            "by the tier-0 page budget"
+        )
+    if tier0_pages is not None and int(tier0_pages) < 2:
+        raise ValueError("tier0_pages must be >= 2")
+    if spill_backend is not None and spill_backend not in SPILL_BACKENDS:
+        raise ValueError(
+            f"unknown spill_backend {spill_backend!r}; expected one of {SPILL_BACKENDS}"
+        )
+    return CODECS[kv_dtype]
+
+
 class BlockPool:
     """Fixed-size KV pages for one decoder layer.
 
-    Slabs are token-major — ``(n_heads, n_pages * page_size, d_head)`` for
-    keys/values/rotated keys and ``(n_heads, n_pages * page_size)`` for the
-    per-head original positions — so a run of consecutive page ids is a
-    contiguous token axis and materializes as a zero-copy view.
+    The pool owns the bookkeeping — page tables, refcounts, the free heap,
+    copy-on-write — and every walk over a table's live region (writes,
+    eviction compaction, reads).  Two collaborators, chosen once here from
+    the constructor's options, decide the rest:
+
+    * ``codec`` (:mod:`repro.kvcache.quant`) — the page format: the compute
+      dtype itself (``kv_dtype=None``) or int8 codes with per-page affine
+      parameters (``kv_dtype="int8"``);
+    * ``residency`` (:mod:`repro.kvcache.offload`) — where a page lives: in
+      slabs sized to the whole page space (``tier0_pages=None``), or in
+      ``tier0_pages`` resident frames in front of a ``spill_backend`` arena.
+
+    Slabs are token-major — ``(n_heads, n_slots, d_head)`` for keys/values/
+    rotated keys and ``(n_heads, n_slots)`` for the per-head original
+    positions — so under the all-resident layout a run of consecutive page
+    ids is a contiguous token axis and materializes as a zero-copy view.
 
     Parameters
     ----------
@@ -156,11 +204,19 @@ class BlockPool:
         rope_dims: int = 0,
         rope_table: RopeTable | None = None,
         growable: bool = True,
+        kv_dtype: str | None = None,
+        tier0_pages: int | None = None,
+        spill_backend: str | None = None,
     ):
+        from repro.kvcache.offload import AllResident, TieredResidency
+
         if page_size <= 0:
             raise ValueError("page_size must be positive")
         if n_pages <= 0:
             raise ValueError("n_pages must be positive")
+        codec_cls = check_kv_options(kv_dtype, tier0_pages, spill_backend)
+        self.n_heads = int(n_heads)
+        self.d_head = int(d_head)
         self.page_size = int(page_size)
         self.dtype = np.dtype(dtype)
         self.rope_dims = int(rope_dims)
@@ -173,19 +229,24 @@ class BlockPool:
         #: allocation (see :class:`repro.serving.faults.FaultInjector`); it
         #: raises to simulate an allocation failure before any state mutates.
         self.fault_hook: Callable[[], None] | None = None
-
-        n_slots = self._slab_pages(n_pages) * self.page_size
-        storage = self._storage_dtype()
-        # np.zeros (not empty): padded/stale slots must stay benign — the
-        # float32 serving path may touch them before masking.
-        self._k = np.zeros((n_heads, n_slots, d_head), dtype=storage)
-        self._v = np.zeros((n_heads, n_slots, d_head), dtype=storage)
-        self._pos = np.zeros((n_heads, n_slots), dtype=np.int64)
-        self._k_rot = (
-            np.zeros((n_heads, n_slots, d_head), dtype=storage)
-            if self.rope_dims > 0
-            else None
+        #: Optional fault-injection callback fired before every spill and
+        #: restore transfer (the ``spill_io`` injection point); it raises
+        #: *before* any state mutates.  Never fires when every page is resident.
+        self.spill_hook: Callable[[], None] | None = None
+        #: Optional spill-victim ranking (lower rank spills first) —
+        #: typically :meth:`PrefixRegistry.spill_ranker`, which keeps
+        #: W-TinyLFU-protected prefix pages resident longest.  Never consulted
+        #: when every page is resident.
+        self.spill_ranker: Callable[[int], int] | None = None
+        streams = ("k", "v", "kr") if self.rope_dims > 0 else ("k", "v")
+        self.codec = codec_cls(self.dtype, self.n_heads, n_pages, self.page_size, streams)
+        self.residency = (
+            AllResident(self, n_pages)
+            if tier0_pages is None
+            else TieredResidency(self, n_pages, int(tier0_pages), spill_backend)
         )
+        #: Reads and writes may span several consecutive pages in one slice.
+        self._merge_runs = self.codec.raw and self.residency.contiguous
         self.refcounts = np.zeros(n_pages, dtype=np.int64)
         self._free = list(range(n_pages))
         heapq.heapify(self._free)
@@ -196,48 +257,8 @@ class BlockPool:
         self._n_shared = 0
 
     # ------------------------------------------------------------------
-    # storage hooks (overridden by the quantized pool)
-    # ------------------------------------------------------------------
-    def _storage_dtype(self) -> np.dtype:
-        """Dtype of the key/value slabs; the full-precision pool stores the
-        compute dtype itself (:class:`~repro.kvcache.quant.QuantizedBlockPool`
-        stores ``int8`` codes instead)."""
-        return self.dtype
-
-    def _grow_page_state(self, n_pages: int) -> None:
-        """Hook: grow per-page bookkeeping to ``n_pages`` entries (no-op here;
-        the quantized pool grows its scale/zero tensors)."""
-
-    def _copy_page_state(self, src_page: int, dst_page: int) -> None:
-        """Hook: copy per-page bookkeeping during copy-on-write (no-op here;
-        the quantized pool copies the page's quantization parameters)."""
-
-    def _slab_pages(self, n_pages: int) -> int:
-        """Hook: physical pages the slabs are sized for (identity here; the
-        tiered pools of :mod:`repro.kvcache.offload` cap the slabs at their
-        tier-0 frame count and spill the rest)."""
-        return n_pages
-
-    def _page_base(self, page: int) -> int:
-        """Hook: first slab slot backing logical ``page`` (plain page
-        arithmetic here).  Every slab access funnels through this so the
-        tiered pools can map logical pages onto resident tier-0 frames,
-        restoring spilled pages on demand."""
-        return page * self.page_size
-
-    # ------------------------------------------------------------------
     # geometry / accounting
     # ------------------------------------------------------------------
-    @property
-    def n_heads(self) -> int:
-        """Number of attention heads the slabs are laid out for."""
-        return self._k.shape[0]
-
-    @property
-    def d_head(self) -> int:
-        """Per-head feature dimension of the key/value slabs."""
-        return self._k.shape[2]
-
     @property
     def n_pages(self) -> int:
         """Total pages in the pool (free and mapped)."""
@@ -245,8 +266,8 @@ class BlockPool:
 
     @property
     def n_slots(self) -> int:
-        """Total token slots across all pages (``n_pages * page_size``)."""
-        return self._k.shape[1]
+        """Token slots the slabs hold (``page_size`` per resident page)."""
+        return self.residency.slabs["k"].shape[1]
 
     @property
     def free_pages(self) -> int:
@@ -268,78 +289,46 @@ class BlockPool:
         return pages_needed(n_tokens, self.page_size)
 
     def kv_token_nbytes(self) -> float:
-        """Key+value storage bytes one cached token occupies (all heads).
-
-        Full-precision pools store the compute dtype itself; the quantized
-        pool overrides this with int8 codes plus the amortized per-page
-        ``(scale, zero)`` tensors, so memory accounting (``LayerKVCache.nbytes``,
-        :meth:`repro.perfmodel.memory.MemoryModel.measured_kv_bytes`) reflects
-        what is actually resident.
-        """
-        return float(2 * self.n_heads * self.d_head * self._k.dtype.itemsize)
-
-    @classmethod
-    def estimate_page_nbytes(
-        cls,
-        n_heads: int,
-        d_head: int,
-        page_size: int,
-        dtype: np.dtype | str,
-        rope_dims: int,
-    ) -> float:
-        """Resident bytes of one page before a pool exists — used to convert
-        a byte budget into a page count (``max_pool_bytes``).  Counts every
-        slab a page holds: keys, values, the rotated-key slab when
-        ``rope_dims > 0``, and the int64 per-head positions."""
-        itemsize = np.dtype(dtype).itemsize
-        slabs = 2 + (1 if rope_dims > 0 else 0)
-        return float(page_size * n_heads * (slabs * d_head * itemsize + 8))
+        """Key+value storage bytes one cached token occupies (all heads), as
+        the codec stores it — so memory accounting (``LayerKVCache.nbytes``,
+        :meth:`repro.perfmodel.memory.MemoryModel.measured_kv_bytes`)
+        reflects what is actually resident."""
+        return self.codec.kv_token_nbytes(self.n_heads, self.d_head, self.page_size)
 
     def page_nbytes(self) -> float:
-        """Resident bytes of one page of this pool (see
-        :meth:`estimate_page_nbytes`)."""
-        return type(self).estimate_page_nbytes(
+        """Resident bytes of one page of this pool (the codec's
+        ``estimate_page_nbytes``)."""
+        return self.codec.estimate_page_nbytes(
             self.n_heads, self.d_head, self.page_size, self.dtype, self.rope_dims
         )
 
     def nbytes(self) -> int:
         """Resident bytes of this pool's slabs — keys, values, rotated keys
-        and positions (plus, in the quantized pool, its per-page
-        quantization tensors)."""
-        return sum(
-            slab.nbytes
-            for slab in (self._k, self._v, self._pos, self._k_rot)
-            if slab is not None
-        )
+        and positions — plus the codec's per-page state."""
+        slabs = self.residency.slabs.values()
+        return sum(slab.nbytes for slab in slabs) + self.codec.nbytes()
+
+    def restore_pages(self, pages: Iterable[int]) -> int:
+        """Bulk-restore spilled ``pages`` ahead of a read (engine prefetch);
+        returns the number restored — always 0 when every page is resident."""
+        return self.residency.restore_pages(pages)
 
     # ------------------------------------------------------------------
     # allocation / refcounting
     # ------------------------------------------------------------------
     def _grow(self, min_pages: int) -> None:
         new_pages = max(min_pages, 2 * self.n_pages)
-        n_slots = new_pages * self.page_size
-
-        def grown(slab: np.ndarray | None, trailing: tuple[int, ...]) -> np.ndarray | None:
-            """Copy ``slab`` into a zero-padded array with ``n_slots`` slots."""
-            if slab is None:
-                return None
-            fresh = np.zeros((self.n_heads, n_slots) + trailing, dtype=slab.dtype)
-            fresh[:, : slab.shape[1]] = slab
-            return fresh
-
-        self._k = grown(self._k, (self.d_head,))
-        self._v = grown(self._v, (self.d_head,))
-        self._pos = grown(self._pos, ())
-        self._k_rot = grown(self._k_rot, (self.d_head,))
+        self.residency.grow(new_pages)
+        self.codec.grow(new_pages)
         for page in range(self.n_pages, new_pages):
             heapq.heappush(self._free, page)
         self.refcounts = np.concatenate(
             [self.refcounts, np.zeros(new_pages - self.n_pages, dtype=np.int64)]
         )
-        self._grow_page_state(new_pages)
 
     def alloc(self, n: int) -> list[int]:
-        """Allocate ``n`` pages (refcount 1 each), lowest ids first.
+        """Allocate ``n`` pages (refcount 1 each, codec state reset), lowest
+        ids first.
 
         Lowest-first keeps a freshly seeded sequence on a physically
         contiguous run of pages, which is what the zero-copy materialization
@@ -363,6 +352,7 @@ class BlockPool:
             )
         pages = [heapq.heappop(self._free) for _ in range(n)]
         self.refcounts[pages] = 1
+        self.codec.reset(pages)
         return pages
 
     def retain(self, pages: Iterable[int]) -> None:
@@ -374,7 +364,8 @@ class BlockPool:
                 self._n_shared += 1
 
     def release(self, pages: Iterable[int]) -> None:
-        """Drop one reference per page; free pages return to the free list."""
+        """Drop one reference per page; free pages return to the free list
+        (and give up their frame or arena record)."""
         for page in pages:
             count = self.refcounts[page] - 1
             if count < 0:
@@ -382,6 +373,7 @@ class BlockPool:
             self.refcounts[page] = count
             if count == 0:
                 heapq.heappush(self._free, page)
+                self.residency.free(page)
             elif count == 1:
                 self._n_shared -= 1
 
@@ -410,7 +402,8 @@ class BlockPool:
         tables mapping this pool; together with ``pinned`` (one entry per
         registry pin, duplicates allowed) the per-page reference totals are
         then cross-checked exactly — any mismatch is a leaked or corrupted
-        page.  ``label`` prefixes each violation for multi-pool reports.
+        page.  The codec and the residency then audit their own state.
+        ``label`` prefixes each violation for multi-pool reports.
         """
         violations: list[str] = []
         n_pages = self.n_pages
@@ -449,6 +442,8 @@ class BlockPool:
                 f"{n_shared_actual} pages with refcount >= 2"
             )
 
+        violations.extend(self.codec.audit(n_pages, label))
+        violations.extend(self.residency.audit(label))
         if owners is None:
             return violations
 
@@ -482,45 +477,41 @@ class BlockPool:
         return violations
 
     # ------------------------------------------------------------------
-    # slot arithmetic
+    # walking the live region
     # ------------------------------------------------------------------
-    def slot_map(self, table: PageTable) -> np.ndarray:
-        """Flat pool slot of every live token, shape ``(length,)``."""
-        if not table.pages:
-            return np.empty(0, dtype=np.int64)
-        pages = np.asarray(table.pages, dtype=np.int64)
-        slots = (
-            pages[:, None] * self.page_size + np.arange(self.page_size)
-        ).reshape(-1)
-        return slots[table.offset : table.end]
+    def _runs(
+        self, table: PageTable, start: int, n: int, merge: bool
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Yield ``(done, page, slot, span)`` chunks covering concatenated-page
+        slots ``start .. start + n`` of ``table``: ``span`` tokens from slab
+        ``slot`` onwards, ``done`` tokens into the walk, in logical ``page``.
 
-    def token_runs(self, table: PageTable) -> list[tuple[int, int, int]]:
-        """Live tokens as maximal physically-contiguous runs.
-
-        Returns ``(logical_start, pool_slot_start, length)`` triples; copying
-        run-by-run turns a fragmented table's materialization into a handful
-        of slice memcpys instead of an elementwise fancy-index gather.
+        The one walk every read and write takes.  With ``merge`` a chunk
+        extends across consecutive page ids (one slice memcpy per physically
+        contiguous run); without it chunks stop at page boundaries — int8
+        pages carry their own parameters and tier-0 frames land anywhere.
+        The slot is resolved lazily, as each chunk is reached, so a tiered
+        residency restores a page just for its own chunk.
         """
         ps = self.page_size
-        runs: list[tuple[int, int, int]] = []
-        logical = 0
-        i = 0
-        n_pages = len(table.pages)
-        while logical < table.length:
-            first = table.pages[i]
-            within = table.offset if i == 0 else 0
-            # Extend across consecutive page ids.
+        pages = table.pages
+        # Plain page arithmetic when every page is resident (no call per run).
+        base = None if self.residency.contiguous else self.residency.base
+        i, within = divmod(start, ps)
+        done = 0
+        while done < n:
             j = i + 1
-            while j < n_pages and table.pages[j] == table.pages[j - 1] + 1:
-                j += 1
-            span = (j - i) * ps - within
-            span = min(span, table.length - logical)
-            runs.append((logical, first * ps + within, span))
-            logical += span
-            i = j
-        return runs
+            if merge:
+                while j < len(pages) and pages[j] == pages[j - 1] + 1:
+                    j += 1
+            span = min((j - i) * ps - within, n - done)
+            page = pages[i]
+            slot = (page * ps if base is None else base(page)) + within
+            yield done, page, slot, span
+            done += span
+            i, within = j, 0
 
-    def is_contiguous(self, table: PageTable) -> bool:
+    def _is_contiguous(self, table: PageTable) -> bool:
         """True when the table's pages form one ascending run of page ids."""
         pages = table.pages
         if len(pages) <= 1:
@@ -536,31 +527,19 @@ class BlockPool:
     # ------------------------------------------------------------------
     # writes: seed / extend / append
     # ------------------------------------------------------------------
-    def _write_span(self, table: PageTable, start: int, array_by_slab) -> None:
-        """Write dense per-slab arrays into concatenated-page slots
-        ``start .. start + span`` of ``table`` (pages must already exist)."""
-        ps = self.page_size
-        if self.is_contiguous(table):
-            # One slice write per slab — the common case (ascending page run).
-            base = self._page_base(table.pages[0]) + start if table.pages else 0
-            for slab, data in array_by_slab:
-                if slab is None or data is None:
-                    continue
-                slab[:, base : base + data.shape[1]] = data
-            return
-        for slab, data in array_by_slab:
-            if slab is None or data is None:
+    def _write_span(self, table: PageTable, start: int, streams) -> None:
+        """Write dense ``(name, array)`` streams into concatenated-page slots
+        ``start ..`` of ``table`` (pages must already exist).  Positions are
+        stored as-is; keys/values/rotated keys go through the codec.  Slabs
+        are looked up here, after any allocation that may have grown them."""
+        slabs = self.residency.slabs
+        for name, data in streams:
+            if data is None:
                 continue
-            span = data.shape[1]
-            done = 0
-            while done < span:
-                slot = start + done
-                page = table.pages[slot // ps]
-                within = slot % ps
-                chunk = min(ps - within, span - done)
-                base = self._page_base(page) + within
-                slab[:, base : base + chunk] = data[:, done : done + chunk]
-                done += chunk
+            codec = IdentityCodec if name == "pos" else self.codec
+            merge = codec.raw and self.residency.contiguous
+            for done, page, slot, span in self._runs(table, start, data.shape[1], merge):
+                codec.encode(name, page, slabs[name], slot, data[:, done : done + span])
 
     def extend(
         self,
@@ -590,69 +569,74 @@ class BlockPool:
             # The first written slot lands inside the current last page; COW
             # it if shared (e.g. right after a beam duplicated this table).
             self._copy_on_write(table, start // ps)
-        self._store_span(table, start, keys, values, positions)
+        k_rot = None
+        if self.rope_dims > 0:
+            k_rot = self.rope_table.rotate(keys, positions)
+        streams = (("k", keys), ("v", values), ("pos", positions), ("kr", k_rot))
+        self._write_span(table, start, streams)
         table.length += t
 
-    def _store_span(
-        self,
-        table: PageTable,
-        start: int,
-        keys: np.ndarray,
-        values: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        """Write a dense token span (with eager RoPE rotation) into the pages
-        covering slots ``start ..`` of ``table`` — the single write primitive
-        :meth:`extend` funnels through, overridden by the quantized pool."""
-        k_rot = None
-        if self._k_rot is not None:
-            k_rot = self.rope_table.rotate(keys, positions)
-        self._write_span(
-            table,
-            start,
-            [
-                (self._k, keys),
-                (self._v, values),
-                (self._pos, positions),
-                (self._k_rot, k_rot),
-            ],
-        )
-
     def _copy_on_write(self, table: PageTable, page_index: int) -> None:
-        """Give ``table`` an exclusive copy of its ``page_index``-th page."""
+        """Give ``table`` an exclusive copy of its ``page_index``-th page.
+
+        The source page is pinned so resolving the destination's slot cannot
+        evict it mid-copy, and a fault while resolving either slot (an
+        injected ``spill_io``) releases the fresh page instead of stranding
+        its refcount — the page is only published into the table after the
+        copy landed.
+        """
         if self._n_shared == 0:
             return
         page = table.pages[page_index]
         if self.refcounts[page] == 1:
             return
-        (fresh,) = self.alloc(1)
-        ps = self.page_size
-        src, dst = self._page_base(page), self._page_base(fresh)
-        for slab in (self._k, self._v, self._pos, self._k_rot):
-            if slab is not None:
-                slab[:, dst : dst + ps] = slab[:, src : src + ps]
-        self._copy_page_state(page, fresh)
-        table.pages[page_index] = fresh
-        self.release([page])
+        self.residency.pin((page,))
+        try:
+            (fresh,) = self.alloc(1)
+            try:
+                ps = self.page_size
+                src = self.residency.base(page)
+                dst = self.residency.base(fresh)
+                for slab in self.residency.slabs.values():
+                    slab[:, dst : dst + ps] = slab[:, src : src + ps]
+                self.codec.copy_page(page, fresh)
+            except BaseException:
+                self.release([fresh])
+                raise
+            table.pages[page_index] = fresh
+            self.release([page])
+        finally:
+            self.residency.unpin((page,))
 
     def append(self, table: PageTable, k: np.ndarray, v: np.ndarray, position: int) -> None:
         """Append one token (``k``/``v`` of shape ``(heads, d_head)``)."""
-        slot = self._append_slot(table)
-        self._store_token(slot, k, v, int(position))
+        page, slot = self._append_slot(table)
+        self._store_token(page, slot, k, v, int(position))
         table.length += 1
 
-    def _store_token(self, slot: int, k: np.ndarray, v: np.ndarray, position: int) -> None:
+    def _store_token(
+        self, page: int, slot: int, k: np.ndarray, v: np.ndarray, position: int
+    ) -> None:
         """Write one token's key/value/position (plus eager rotation) into a
-        resolved pool slot — the single-token write primitive shared by
-        :meth:`append`, overridden by the quantized pool."""
-        self._k[:, slot] = k
-        self._v[:, slot] = v
-        self._pos[:, slot] = position
-        if self._k_rot is not None:
-            self._k_rot[:, slot] = self.rope_table.rotate_uniform(k, position)
+        resolved slab slot of ``page``."""
+        slabs = self.residency.slabs
+        slabs["pos"][:, slot] = position
+        k_rot = None
+        if self.rope_dims > 0:
+            k_rot = self.rope_table.rotate_uniform(k, position)
+        if self.codec.raw:
+            # Solo-decode hot path: three direct row writes, no codec call.
+            slabs["k"][:, slot] = k
+            slabs["v"][:, slot] = v
+            if k_rot is not None:
+                slabs["kr"][:, slot] = k_rot
+            return
+        for name, data in (("k", k), ("v", v), ("kr", k_rot)):
+            if data is not None:
+                self.codec.encode(name, page, slabs[name], slot, np.asarray(data)[:, None, :])
 
-    def _append_slot(self, table: PageTable) -> int:
-        """Flat pool slot for the next appended token (allocates / COWs)."""
+    def _append_slot(self, table: PageTable) -> tuple[int, int]:
+        """Page and slab slot of the next appended token (allocates / COWs)."""
         ps = self.page_size
         end = table.end
         if end == table.allocated(ps):
@@ -660,7 +644,7 @@ class BlockPool:
         else:
             self._copy_on_write(table, end // ps)
         page = table.pages[end // ps]
-        return self._page_base(page) + end % ps
+        return page, self.residency.base(page) + end % ps
 
     def append_rows(
         self,
@@ -672,33 +656,52 @@ class BlockPool:
         """Append one token per table: ``k``/``v`` of shape ``(rows, heads,
         d_head)``, ``positions`` of shape ``(rows,)``.
 
-        Slot resolution is per row (page boundaries differ), but the actual
-        slab writes are one vectorized scatter per slab — the steady-state
-        decode cost is one indexed write, not a Python loop of copies.
+        Slot resolution is per row (page boundaries differ).  Raw pages then
+        take one vectorized scatter per slab — the steady-state decode cost
+        is one indexed write, not a Python loop of copies — with each row's
+        destination page pinned as its slot resolves, so a later row's
+        restore cannot evict an earlier row's frame before the scatter
+        lands.  Int8 pages must update each destination page's running
+        range, so they store row by row exactly as :meth:`append` does —
+        keeping batched int8 serving bit-identical to solo int8 decoding.
         """
         if not len(tables):
             return
-        slots = np.empty(len(tables), dtype=np.int64)
-        for i, table in enumerate(tables):
-            try:
-                slots[i] = self._append_slot(table)
-            except Exception as exc:
-                # Rows before i already consumed their slot but their length
-                # was not bumped; the engine's snapshot/restore quarantine
-                # rolls the whole step back, so attribution is all we add.
-                tag_fault_row(exc, i)
-                raise
         positions = np.asarray(positions, dtype=np.int64)
-        self._k[:, slots] = k.transpose(1, 0, 2)
-        self._v[:, slots] = v.transpose(1, 0, 2)
-        self._pos[:, slots] = positions
-        if self._k_rot is not None:
-            # Per-row positions; elementwise, so each row is bit-identical to
-            # the solo cache's rotate_uniform at that position.
-            k_rot = self.rope_table.rotate(k, positions[:, None])
-            self._k_rot[:, slots] = k_rot.transpose(1, 0, 2)
-        for table in tables:
-            table.length += 1
+        raw = self.codec.raw
+        slots = np.empty(len(tables), dtype=np.int64)
+        pinned: list[int] = []
+        try:
+            for i, table in enumerate(tables):
+                try:
+                    page, slot = self._append_slot(table)
+                    if raw:
+                        self.residency.pin((page,))
+                        pinned.append(page)
+                        slots[i] = slot
+                    else:
+                        self._store_token(page, slot, k[i], v[i], int(positions[i]))
+                        table.length += 1
+                except Exception as exc:
+                    # Rows before i already consumed their slot; the engine's
+                    # snapshot/restore quarantine rolls the whole step back,
+                    # so attribution is all we add.
+                    tag_fault_row(exc, i)
+                    raise
+            if raw:
+                slabs = self.residency.slabs
+                slabs["k"][:, slots] = k.transpose(1, 0, 2)
+                slabs["v"][:, slots] = v.transpose(1, 0, 2)
+                slabs["pos"][:, slots] = positions
+                if self.rope_dims > 0:
+                    # Per-row positions; elementwise, so each row is
+                    # bit-identical to the solo cache's rotate_uniform.
+                    k_rot = self.rope_table.rotate(k, positions[:, None])
+                    slabs["kr"][:, slots] = k_rot.transpose(1, 0, 2)
+                for table in tables:
+                    table.length += 1
+        finally:
+            self.residency.unpin(pinned)
 
     # ------------------------------------------------------------------
     # eviction
@@ -710,9 +713,10 @@ class BlockPool:
         Fast paths: an identity selection is a no-op; a pure suffix selection
         (all heads keeping exactly the newest ``K`` tokens) bumps the offset
         and frees fully-skipped leading pages without touching any data.  The
-        general path compacts through a flat row-gather — into the table's
-        own pages when they are exclusively owned, into freshly allocated
-        pages when any are shared (copy-on-write).  Returns the number of
+        general path compacts the survivors — into the table's own pages when
+        they are exclusively owned, into freshly allocated pages when any are
+        shared (copy-on-write) — re-encoding them against fresh codec state
+        (int8 survivors get fresh per-page ranges).  Returns the number of
         evicted entries.
         """
         indices = np.asarray(indices, dtype=np.int64)
@@ -740,15 +744,14 @@ class BlockPool:
                     table.offset -= ps
             return dropped
 
-        head_offsets = (np.arange(self.n_heads) * self.n_slots)[:, None]
-        if self.is_contiguous(table):
-            base = self._page_base(table.pages[0]) + table.offset if table.pages else 0
-            gidx = (head_offsets + base + indices).reshape(-1)
+        if self.residency.contiguous:
+            data = self._take(table, indices)
         else:
-            slots = self.slot_map(table)
-            gidx = (head_offsets + slots[indices]).reshape(-1)
-
-        data = self._take_all(gidx, k)
+            # Tiered: select survivors from the streamed dense reads (page-at-
+            # a-time restores), so a row longer than tier-0 still compacts —
+            # elementwise the same reads as the flat take.
+            hidx = np.arange(self.n_heads)[:, None]
+            data = {name: self._read(table, name)[hidx, indices] for name in self.residency.slabs}
         n_needed = self.pages_for(max(k, 1))
         if self._exclusive(table):
             # In-place compaction: keep the first pages, free the tail.
@@ -762,35 +765,37 @@ class BlockPool:
             table.pages = fresh
         table.offset = 0
         table.length = k
-        self._write_all(table, data)
+        self.codec.reset(table.pages)
+        self._write_span(table, 0, data.items())
         return dropped
 
-    def _take_all(self, gidx: np.ndarray, k: int) -> list[np.ndarray | None]:
-        """Gather ``[keys, values, positions, rotated_keys]`` for the flat
-        pool-slot indices ``gidx`` (compaction read).  The quantized pool
-        overrides this to return *dequantized* keys/values, so eviction
-        re-quantizes survivors against fresh per-page ranges."""
-
-        def taken(slab: np.ndarray | None) -> np.ndarray | None:
-            """Gather ``gidx`` from one slab (None passes through)."""
-            if slab is None:
-                return None
+    def _take(self, table: PageTable, indices: np.ndarray) -> dict[str, np.ndarray]:
+        """Gather the selected live entries of every stream through one flat
+        row-take per slab (all-resident pools), dequantizing int8 codes with
+        each element's own page/head parameters."""
+        n_heads, n_slots, ps = self.n_heads, self.n_slots, self.page_size
+        head_offsets = (np.arange(n_heads) * n_slots)[:, None]
+        if self._is_contiguous(table):
+            base = table.pages[0] * ps + table.offset if table.pages else 0
+            gidx = (head_offsets + base + indices).reshape(-1)
+        else:
+            pages = np.asarray(table.pages, dtype=np.int64)
+            slots = (pages[:, None] * ps + np.arange(ps)).reshape(-1)[table.offset : table.end]
+            gidx = (head_offsets + slots[indices]).reshape(-1)
+        k = indices.shape[-1]
+        if not self.codec.raw:
+            heads, page_of = gidx // n_slots, (gidx % n_slots) // ps
+        data = {}
+        for name, slab in self.residency.slabs.items():
             if slab.ndim == 2:
-                return slab.reshape(-1).take(gidx).reshape(self.n_heads, k)
-            flat = slab.reshape(self.n_heads * self.n_slots, self.d_head)
-            return flat.take(gidx, axis=0).reshape(self.n_heads, k, self.d_head)
-
-        return [taken(self._k), taken(self._v), taken(self._pos), taken(self._k_rot)]
-
-    def _write_all(self, table: PageTable, data: list[np.ndarray | None]) -> None:
-        """Write the compacted ``[keys, values, positions, rotated_keys]``
-        back into ``table``'s (re)allocated pages.  The slab attributes are
-        re-read only here: the allocation in :meth:`gather` may have grown the
-        pool and rebound them — pairing slabs with the gathered data any
-        earlier would write the compaction into orphaned arrays."""
-        self._write_span(
-            table, 0, zip((self._k, self._v, self._pos, self._k_rot), data)
-        )
+                data[name] = slab.reshape(-1).take(gidx).reshape(n_heads, k)
+                continue
+            flat = slab.reshape(n_heads * n_slots, self.d_head)
+            taken = flat.take(gidx, axis=0).reshape(n_heads, k, self.d_head)
+            if not self.codec.raw:
+                taken = self.codec.decode_taken(name, taken, page_of, heads)
+            data[name] = taken
+        return data
 
     def truncate(self, table: PageTable, n: int) -> None:
         """Drop the last ``n`` live tokens (speculative-decode rollback).
@@ -817,45 +822,49 @@ class BlockPool:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def token_view(self, table: PageTable, slab: np.ndarray) -> np.ndarray:
-        """Dense ``(heads, length, ...)`` of the live tokens.
+    def _read(self, table: PageTable, name: str) -> np.ndarray:
+        """Dense ``(heads, length, ...)`` of one stream's live tokens, in the
+        compute dtype.
 
-        Zero-copy slab view when the pages are physically contiguous (the
+        A zero-copy slab view when the stream is stored raw, every page is
+        resident and the table's pages are physically contiguous (the
         attention fast path); a page-gather copy otherwise.
         """
-        if table.length == 0:
-            return slab[:, :0]
-        if self.is_contiguous(table):
-            start = self._page_base(table.pages[0]) + table.offset
+        slab = self.residency.slabs[name]
+        codec = IdentityCodec if name == "pos" else self.codec
+        merge = codec.raw and self.residency.contiguous
+        if merge and self._is_contiguous(table):
+            start = table.pages[0] * self.page_size + table.offset if table.pages else 0
             return slab[:, start : start + table.length]
-        # Fragmented table: assemble from per-run slice copies.  The result
-        # must be C-contiguous — NumPy's mixed slice+fancy indexing would
-        # return token-major *memory* under a (heads, length, ...) shape, and
+        # Assemble from per-run slice copies.  The result must be
+        # C-contiguous — NumPy's mixed slice+fancy indexing would return
+        # token-major *memory* under a (heads, length, ...) shape, and
         # reduction kernels (einsum, softmax's pairwise sum) pick their
         # blocking from memory layout, bit-diverging from the slab-view fast
         # path.  Run-wise slicing is both layout-correct and a plain memcpy.
-        out = np.empty((slab.shape[0], table.length) + slab.shape[2:], dtype=slab.dtype)
-        for logical, src, span in self.token_runs(table):
-            out[:, logical : logical + span] = slab[:, src : src + span]
+        dtype = slab.dtype if codec.raw else self.dtype
+        out = np.empty((self.n_heads, table.length) + slab.shape[2:], dtype=dtype)
+        for logical, page, slot, span in self._runs(table, table.offset, table.length, merge):
+            out[:, logical : logical + span] = codec.decode(name, page, slab[:, slot : slot + span])
         return out
 
     def keys_view(self, table: PageTable) -> np.ndarray:
         """Dense live (unrotated) keys, shape ``(heads, length, d_head)``."""
-        return self.token_view(table, self._k)
+        return self._read(table, "k")
 
     def values_view(self, table: PageTable) -> np.ndarray:
         """Dense live values, shape ``(heads, length, d_head)``."""
-        return self.token_view(table, self._v)
+        return self._read(table, "v")
 
     def positions_view(self, table: PageTable) -> np.ndarray:
         """Dense live original positions, shape ``(heads, length)``."""
-        return self.token_view(table, self._pos)
+        return self._read(table, "pos")
 
     def rotated_view(self, table: PageTable) -> np.ndarray:
         """Dense live RoPE-rotated keys, shape ``(heads, length, d_head)``."""
-        if self._k_rot is None:
+        if self.rope_dims <= 0:
             raise RuntimeError("rotated-key slab disabled (rope_dims == 0)")
-        return self.token_view(table, self._k_rot)
+        return self._read(table, "kr")
 
     def fill_row(
         self,
@@ -869,39 +878,30 @@ class BlockPool:
         (``out_*[:, :length]``) — the page-gather read of the batched path."""
         if table.length == 0:
             return
-        keys = self._k_rot if rotated else self._k
-        for logical, src, span in self.token_runs(table):
+        kname = "kr" if rotated else "k"
+        slabs = self.residency.slabs
+        keys, values, pos = slabs[kname], slabs["v"], slabs["pos"]
+        decode = self.codec.decode
+        runs = self._runs(table, table.offset, table.length, self._merge_runs)
+        for logical, page, slot, span in runs:
             dst = slice(logical, logical + span)
-            out_k[:, dst] = keys[:, src : src + span]
-            out_v[:, dst] = self._v[:, src : src + span]
-            out_pos[:, dst] = self._pos[:, src : src + span]
+            src = slice(slot, slot + span)
+            out_k[:, dst] = decode(kname, page, keys[:, src])
+            out_v[:, dst] = decode("v", page, values[:, src])
+            out_pos[:, dst] = pos[:, src]
 
     def page_tokens_view(
         self, pages: Sequence[int], rotated: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dense ``(heads, n_pages * page_size, d)`` keys/values of full pages
-        (used by prefix sharing to hand a mapped prefix to chunked prefill)."""
+        (used by prefix sharing to hand a mapped prefix to chunked prefill).
+        Int8 pages read back dequantized — not exact — prefix KV; see the
+        accuracy contract in ``docs/quantization.md``."""
         probe = PageTable()
         probe.pages = list(pages)
         probe.length = len(probe.pages) * self.page_size
-        keys = self.token_view(probe, self._k_rot if rotated else self._k)
-        return keys, self.token_view(probe, self._v)
-
-
-def resolve_pool_class(kv_dtype: str | None) -> type[BlockPool]:
-    """Pool implementation for a ``kv_dtype`` knob value.
-
-    ``None`` (or ``"native"``) keeps full-precision pages — the bit-exact
-    default every golden test runs on; ``"int8"`` selects the quantized pool
-    of :mod:`repro.kvcache.quant` (imported lazily to avoid a cycle).
-    """
-    if kv_dtype in (None, "native"):
-        return BlockPool
-    if str(kv_dtype) == "int8":
-        from repro.kvcache.quant import QuantizedBlockPool
-
-        return QuantizedBlockPool
-    raise ValueError(f"unknown kv_dtype {kv_dtype!r}; expected None, 'native' or 'int8'")
+        keys = self._read(probe, "kr" if rotated else "k")
+        return keys, self._read(probe, "v")
 
 
 class PagedKVStore:
@@ -912,13 +912,13 @@ class PagedKVStore:
     — through this object — a single notion of free memory that the
     memory-aware scheduler admits against.
 
-    ``kv_dtype`` selects the page storage format: ``None``/``"native"``
+    ``kv_dtype`` selects every pool's page codec: ``None``/``"native"``
     stores the compute dtype bit-exactly, ``"int8"`` stores quantized pages
-    (:class:`~repro.kvcache.quant.QuantizedBlockPool`) that shrink KV bytes
-    per token roughly 4x at float32 (8x at float64) under an accuracy
-    contract documented in ``docs/quantization.md``.
+    (:class:`~repro.kvcache.quant.Int8Codec`) that shrink KV bytes per token
+    roughly 4x at float32 (8x at float64) under an accuracy contract
+    documented in ``docs/quantization.md``.
 
-    ``tier0_pages`` enables **tiered KV offload** (see
+    ``tier0_pages`` selects the tiered residency (**KV offload**, see
     :mod:`repro.kvcache.offload`): each layer pool keeps only that many
     pages resident in its tier-0 slabs and spills the cold remainder —
     byte-exactly — to a tier-1 arena selected by ``spill_backend``
@@ -955,27 +955,12 @@ class PagedKVStore:
         #: byte-exact leaf-first reclaim; ``"wtinylfu"`` enables
         #: frequency-aware admission — see :mod:`repro.kvcache.admission`).
         self.admission_policy = admission_policy
-        if spill_backend is not None and tier0_pages is None:
-            raise ValueError(
-                "spill_backend requires tier0_pages — KV offload is enabled "
-                "by the tier-0 page budget"
-            )
         #: Tier-0 frames per layer pool when KV offload is enabled (``None``
         #: keeps every page resident — the historical single-tier layout).
         self.tier0_pages = int(tier0_pages) if tier0_pages is not None else None
         self.spill_backend = spill_backend
-        pool_cls = resolve_pool_class(kv_dtype)
-        pool_kwargs: dict = {}
-        if self.tier0_pages is not None:
-            from repro.kvcache.offload import resolve_tiered_pool_class
-
-            pool_cls = resolve_tiered_pool_class(pool_cls)
-            pool_kwargs = {
-                "tier0_pages": self.tier0_pages,
-                "spill_backend": spill_backend,
-            }
         self.pools = [
-            pool_cls(
+            BlockPool(
                 n_heads,
                 d_head,
                 page_size=page_size,
@@ -984,7 +969,9 @@ class PagedKVStore:
                 rope_dims=rope_dims,
                 rope_table=rope_table,
                 growable=growable,
-                **pool_kwargs,
+                kv_dtype=kv_dtype,
+                tier0_pages=self.tier0_pages,
+                spill_backend=spill_backend,
             )
             for _ in range(n_layers)
         ]
@@ -1011,7 +998,7 @@ class PagedKVStore:
         """Resident bytes of one page for a store that does not exist yet —
         how a byte budget (``max_pool_bytes``) is converted into a page
         count before the pools are built."""
-        return resolve_pool_class(kv_dtype).estimate_page_nbytes(
+        return check_kv_options(kv_dtype).estimate_page_nbytes(
             n_heads, d_head, page_size, dtype, rope_dims
         )
 
@@ -1060,7 +1047,7 @@ class PagedKVStore:
         makes full-precision and int8 pools comparable under one budget.
         Under KV offload a ``tier`` sub-dict aggregates each pool's
         resident/spilled page counts and spill/restore traffic (see
-        :meth:`repro.kvcache.offload._TieredMixin.tier_usage`); the
+        :meth:`repro.kvcache.offload.TieredResidency.usage`); the
         single-tier report stays byte-identical to the historical schema.
         """
         page_bytes = sum(pool.page_nbytes() for pool in self.pools) / max(
@@ -1080,7 +1067,7 @@ class PagedKVStore:
         if self.tier0_pages is not None:
             tier: dict[str, int] = {}
             for pool in self.pools:
-                for key, value in pool.tier_usage().items():
+                for key, value in pool.residency.usage().items():
                     tier[key] = tier.get(key, 0) + int(value)
             tier["tier0_frames"] = self.tier0_pages  # per layer, not summed
             out["tier"] = tier
@@ -1403,7 +1390,7 @@ class PrefixRegistry:
 
     def spill_ranker(self, layer: int) -> Callable[[int], int]:
         """Victim-ranking callback for ``layer``'s tiered pool (installable
-        as :attr:`repro.kvcache.offload._TieredMixin.spill_ranker`)."""
+        as :attr:`BlockPool.spill_ranker`)."""
         return lambda page: self.page_heat(layer, page)
 
     def pinned_pages(self) -> list[list[int]]:
@@ -1456,8 +1443,7 @@ class PrefixRegistry:
                         f"{child.hex()}"
                     )
             for layer, page in enumerate(chunk.pages_per_layer):
-                tier_state = getattr(self.store.pools[layer], "tier_page_state", None)
-                if tier_state is not None and tier_state(page) == "free":
+                if self.store.pools[layer].residency.page_state(page) == "free":
                     violations.append(
                         f"registry: layer {layer} chunk {key.hex()} pins page "
                         f"{page} that is neither resident nor spilled"

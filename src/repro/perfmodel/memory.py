@@ -120,7 +120,7 @@ class MemoryModel:
         (``PerfModelSpec.dtype_bytes`` per element); ``"int8"`` stores 1-byte
         codes plus one float32 ``(scale, zero)`` pair per page, per head, per
         K/V stream, per layer — the storage format of
-        :class:`repro.kvcache.quant.QuantizedBlockPool`.
+        :class:`repro.kvcache.quant.Int8Codec`.
         """
         if kv_dtype in (None, "native"):
             return self.kv_bytes_per_token() * page_size

@@ -1688,11 +1688,10 @@ class ContinuousBatchingEngine:
             spill_hook = self.faults.hook("spill_io")
             for pool in self._manager.store.pools:
                 pool.fault_hook = hook
-                if hasattr(pool, "spill_hook"):
-                    # Tiered pools additionally consult the injector before
-                    # every spill/restore transfer (pre-mutation, so a fired
-                    # fault leaves pool and arena state untouched).
-                    pool.spill_hook = spill_hook
+                # Consulted before every spill/restore transfer (pre-mutation,
+                # so a fired fault leaves pool and arena state untouched);
+                # never fires when every page is resident.
+                pool.spill_hook = spill_hook
 
     # ------------------------------------------------------------------
     # auditing & telemetry

@@ -32,7 +32,7 @@ one row that caused it.  See ``docs/robustness.md`` for the full fault model.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -49,7 +49,7 @@ __all__ = [
 #: appends, copy-on-write, drafter growth), the per-request prefill step, the
 #: per-row batched decode step, the speculative verify pass, the drafter
 #: round, and spill/restore transfers of the tiered KV-offload pools
-#: (``spill_io`` fires inside ``_TieredMixin._spill_page`` /
+#: (``spill_io`` fires inside ``TieredResidency._spill_page`` /
 #: ``_restore_page`` **before** any state mutates, so an injected transfer
 #: fault leaves pool and arena unchanged).  ``spill_io`` is appended last:
 #: :meth:`FaultInjector.should_fire` keys its RNG on each point's index in

@@ -165,7 +165,7 @@ class TestBatchedLayerKVCache:
         batched.join_row(0, keys, values, positions)
         keys_view, _, _, _, _ = batched.padded_batch(1, rotated=False)
         # The contiguous fast path returns a view of the pool slab itself.
-        assert keys_view.base is batched.pool._k
+        assert keys_view.base is batched.pool.residency.slabs["k"]
 
     def test_rotated_slab_matches_single_sequence_rotation(self):
         rng = np.random.default_rng(7)

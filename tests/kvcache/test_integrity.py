@@ -3,7 +3,8 @@
 ``BlockPool.check_invariants`` is the ground truth the serving engine's
 :meth:`~repro.serving.engine.ContinuousBatchingEngine.check_invariants`
 builds on; these tests pin what it catches (and what a clean pool looks
-like) at the pool level, including the quantized pool's parameter checks.
+like) at the pool level, including the int8 codec's parameter checks and the
+tiered residency's frame/arena checks.
 """
 
 from __future__ import annotations
@@ -11,19 +12,16 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-import pytest
 
-from repro.kvcache.offload import TieredBlockPool, TieredQuantizedBlockPool
 from repro.kvcache.paged import BlockPool, PageTable, PagedKVStore, PrefixRegistry
-from repro.kvcache.quant import QuantizedBlockPool
 
 HEADS, D_HEAD, PAGE = 2, 4, 4
 
 
-def make_pool(cls=BlockPool, **kwargs):
+def make_pool(**kwargs):
     kwargs.setdefault("page_size", PAGE)
     kwargs.setdefault("n_pages", 8)
-    return cls(HEADS, D_HEAD, **kwargs)
+    return BlockPool(HEADS, D_HEAD, **kwargs)
 
 
 def seeded_table(pool, n_tokens, rng):
@@ -107,93 +105,97 @@ class TestBlockPoolAudit:
 
 class TestQuantizedPoolAudit:
     def test_clean_after_writes(self):
-        pool = make_pool(QuantizedBlockPool, dtype=np.float64)
+        pool = make_pool(kv_dtype="int8", dtype=np.float64)
         rng = np.random.default_rng(7)
         table = seeded_table(pool, 7, rng)
         assert pool.check_invariants(owners=[table]) == []
 
     def test_detects_corrupted_scale(self):
-        pool = make_pool(QuantizedBlockPool, dtype=np.float64)
+        pool = make_pool(kv_dtype="int8", dtype=np.float64)
         rng = np.random.default_rng(8)
         table = seeded_table(pool, 7, rng)
-        pool._qscale["k"][table.pages[0]] *= 2.0  # params no longer match ranges
+        pool.codec.scale["k"][table.pages[0]] *= 2.0  # params no longer match ranges
         violations = pool.check_invariants(owners=[table])
         assert violations and any("scale" in v or "param" in v for v in violations)
 
     def test_detects_nonfinite_range(self):
-        pool = make_pool(QuantizedBlockPool, dtype=np.float64)
+        pool = make_pool(kv_dtype="int8", dtype=np.float64)
         rng = np.random.default_rng(9)
         table = seeded_table(pool, 7, rng)
-        pool._qlo["v"][table.pages[0], 0] = np.nan
+        pool.codec.lo["v"][table.pages[0], 0] = np.nan
         violations = pool.check_invariants(owners=[table])
         assert violations
 
     def test_detects_shape_drift(self):
-        pool = make_pool(QuantizedBlockPool, dtype=np.float64)
-        pool._qzero["k"] = pool._qzero["k"][:-1]  # lost a page's params
+        pool = make_pool(kv_dtype="int8", dtype=np.float64)
+        pool.codec.zero["k"] = pool.codec.zero["k"][:-1]  # lost a page's params
         violations = pool.check_invariants()
         assert violations and any("shape" in v for v in violations)
 
 
 class TestTieredPoolAudit:
-    """Tier-state invariants of the offload pools (see ``repro.kvcache.offload``):
-    page resident XOR spilled, mutually-inverse page↔frame maps, a free-frame
-    list that is exactly the unmapped frames, no spill-index leaks and no
-    leaked pins — plus the quantized pool's spill-record parameter cross-check."""
+    """Tier-state invariants of the tiered residency (see
+    ``repro.kvcache.offload``): page resident XOR spilled, mutually-inverse
+    page↔frame maps, a free-frame list that is exactly the unmapped frames,
+    no spill-index leaks and no leaked pins."""
 
-    def _tiered(self, cls=TieredBlockPool, **kwargs):
+    def _tiered(self, **kwargs):
         kwargs.setdefault("tier0_pages", 3)
         kwargs.setdefault("spill_backend", "compressed")
-        return make_pool(cls, **kwargs)
+        return make_pool(**kwargs)
 
     def _spilled_page(self, pool, table):
-        pages = [p for p in table.pages if p in pool.arena]
+        pages = [p for p in table.pages if p in pool.residency.arena]
         assert pages, "expected the tight frame budget to have spilled a page"
         return pages[0]
 
     def test_clean_under_spill_pressure(self):
         rng = np.random.default_rng(20)
-        for cls in (TieredBlockPool, TieredQuantizedBlockPool):
-            pool = self._tiered(cls, dtype=np.float64)
+        for kv_dtype in (None, "int8"):
+            pool = self._tiered(kv_dtype=kv_dtype, dtype=np.float64)
             tables = [seeded_table(pool, 3 * PAGE, rng) for _ in range(2)]
-            assert len(pool.arena) > 0  # 6 pages over 3 frames: cold pages spilled
+            assert len(pool.residency.arena) > 0  # 6 pages over 3 frames: spilled
             assert pool.check_invariants(owners=tables) == []
 
     def test_detects_page_resident_and_spilled(self):
         pool = self._tiered()
+        tier = pool.residency
         rng = np.random.default_rng(21)
         table = seeded_table(pool, 5 * PAGE, rng)
-        resident = next(p for p in table.pages if pool._page_frame[p] >= 0)
+        resident = next(p for p in table.pages if tier._page_frame[p] >= 0)
         spilled = self._spilled_page(pool, table)
-        pool.arena.store(resident, pool.arena.load(spilled))  # stray double-home
+        tier.arena.store(resident, tier.arena.load(spilled))  # stray double-home
         violations = pool.check_invariants(owners=[table])
         assert any("both resident and spilled" in v for v in violations)
 
     def test_detects_frame_map_divergence(self):
         pool = self._tiered()
+        tier = pool.residency
         rng = np.random.default_rng(22)
         table = seeded_table(pool, 2 * PAGE, rng)
-        frame = int(pool._page_frame[table.pages[0]])
-        pool._frame_page[frame] = -1  # forward map no longer inverts
+        frame = int(tier._page_frame[table.pages[0]])
+        tier._frame_page[frame] = -1  # forward map no longer inverts
         violations = pool.check_invariants(owners=[table])
         assert any("owned by" in v or "free-frame" in v for v in violations)
 
     def test_detects_free_frame_list_corruption(self):
         pool = self._tiered()
+        tier = pool.residency
         rng = np.random.default_rng(23)
         table = seeded_table(pool, 2 * PAGE, rng)
-        heapq.heappush(pool._free_frames, int(pool._page_frame[table.pages[0]]))
+        heapq.heappush(tier._free_frames, int(tier._page_frame[table.pages[0]]))
         violations = pool.check_invariants(owners=[table])
         assert any("free-frame list" in v for v in violations)
 
     def test_detects_spill_index_leak(self):
         pool = self._tiered()
+        arena = pool.residency.arena
         rng = np.random.default_rng(24)
         table = seeded_table(pool, 5 * PAGE, rng)
         page = self._spilled_page(pool, table)
-        payload = pool.arena.load(page)
+        payload = arena.load(page)
         pool.release_table(table)  # drops every record…
-        pool.arena.store(page, payload)  # …but one sneaks back in
+        arena.store(page, payload)  # …but one sneaks back in
         violations = pool.check_invariants()
         assert any("spill-index leak" in v for v in violations)
 
@@ -201,28 +203,19 @@ class TestTieredPoolAudit:
         pool = self._tiered()
         rng = np.random.default_rng(25)
         table = seeded_table(pool, PAGE, rng)
-        pool._pin([table.pages[0]])
+        pool.residency.pin([table.pages[0]])
         violations = pool.check_invariants(owners=[table])
         assert any("pin(s) leaked" in v for v in violations)
-        pool._unpin([table.pages[0]])
+        pool.residency.unpin([table.pages[0]])
         assert pool.check_invariants(owners=[table]) == []
-
-    def test_quantized_detects_stale_spilled_params(self):
-        pool = self._tiered(TieredQuantizedBlockPool, dtype=np.float64)
-        rng = np.random.default_rng(26)
-        table = seeded_table(pool, 5 * PAGE, rng)
-        page = self._spilled_page(pool, table)
-        pool._qscale["k"][page] *= 2.0  # live params drift from the record
-        violations = pool.check_invariants(owners=[table])
-        assert any("parameter section diverged" in v for v in violations)
 
     def test_release_drops_arena_records(self):
         pool = self._tiered()
         rng = np.random.default_rng(27)
         table = seeded_table(pool, 5 * PAGE, rng)
-        assert len(pool.arena) > 0
+        assert len(pool.residency.arena) > 0
         pool.release_table(table)
-        assert len(pool.arena) == 0  # refcount-0 pages leave the spill index
+        assert len(pool.residency.arena) == 0  # refcount-0 pages leave the spill index
         assert pool.check_invariants() == []
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the tiered KV-offload machinery (``repro.kvcache.offload``).
+"""Unit tests for the tiered residency (``repro.kvcache.offload``).
 
 The equivalence wall (``test_offload_equivalence.py``) proves whole-engine
 bit-exactness; these tests pin the mechanics underneath it — the two arena
@@ -16,22 +16,23 @@ from repro.kvcache.offload import (
     SPILL_BACKENDS,
     CompressedSpillArena,
     MmapSpillArena,
-    TieredBlockPool,
-    TieredQuantizedBlockPool,
-    resolve_spill_arena,
-    resolve_tiered_pool_class,
+    TieredResidency,
 )
 from repro.kvcache.paged import BlockPool, PageTable, PagedKVStore, PoolExhausted
-from repro.kvcache.quant import QuantizedBlockPool
 
 HEADS, D_HEAD, PAGE = 2, 4, 4
 
 
-def make_pool(cls=TieredBlockPool, **kwargs):
+def make_pool(**kwargs):
     kwargs.setdefault("page_size", PAGE)
     kwargs.setdefault("n_pages", 8)
     kwargs.setdefault("tier0_pages", 3)
-    return cls(HEADS, D_HEAD, **kwargs)
+    return BlockPool(HEADS, D_HEAD, **kwargs)
+
+
+def record_nbytes(pool):
+    """Bytes of one spill record: the page's slab slices, nothing else."""
+    return sum(slab[:, :PAGE].nbytes for slab in pool.residency.slabs.values())
 
 
 def seeded_table(pool, n_tokens, rng):
@@ -44,9 +45,9 @@ def seeded_table(pool, n_tokens, rng):
 
 
 class TestArenas:
-    @pytest.mark.parametrize("backend", SPILL_BACKENDS)
-    def test_store_load_roundtrip_is_byte_exact(self, backend):
-        arena = resolve_spill_arena(backend, record_nbytes=64)
+    @pytest.mark.parametrize("mmap", [False, True], ids=SPILL_BACKENDS)
+    def test_store_load_roundtrip_is_byte_exact(self, mmap):
+        arena = MmapSpillArena(record_nbytes=64) if mmap else CompressedSpillArena()
         payloads = {p: bytes([p % 256]) * 64 for p in (0, 3, 17)}
         for page, payload in payloads.items():
             arena.store(page, payload)
@@ -60,9 +61,9 @@ class TestArenas:
         arena.drop(3)  # idempotent
         arena.close()
 
-    @pytest.mark.parametrize("backend", SPILL_BACKENDS)
-    def test_overwrite_replaces_record(self, backend):
-        arena = resolve_spill_arena(backend, record_nbytes=16)
+    @pytest.mark.parametrize("mmap", [False, True], ids=SPILL_BACKENDS)
+    def test_overwrite_replaces_record(self, mmap):
+        arena = MmapSpillArena(record_nbytes=16) if mmap else CompressedSpillArena()
         arena.store(5, b"a" * 16)
         arena.store(5, b"b" * 16)
         assert arena.load(5) == b"b" * 16
@@ -97,34 +98,23 @@ class TestArenas:
         arena.close()
         assert len(arena) == 0
 
-    def test_resolve_rejects_unknown_backend(self):
-        assert isinstance(resolve_spill_arena(None, 8), CompressedSpillArena)
-        with pytest.raises(ValueError, match="unknown spill_backend"):
-            resolve_spill_arena("tape", 8)
-
 
 class TestTieredPoolMechanics:
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="tier0_pages must be >= 2"):
-            make_pool(tier0_pages=1)
-        with pytest.raises(ValueError, match="unknown spill_backend"):
-            make_pool(spill_backend="tape")
-
     def test_slabs_sized_to_frames_not_pages(self):
         pool = make_pool()
         assert pool.n_pages == 8
-        assert pool.n_frames == 3
-        assert pool._k.shape[1] == 3 * PAGE  # physical slots = frames
-        assert pool.is_contiguous(PageTable()) is False
+        assert pool.residency.n_frames == 3
+        assert pool.n_slots == 3 * PAGE  # physical slots = frames
+        assert pool.residency.contiguous is False  # frames move: no zero-copy view
 
     @pytest.mark.parametrize("backend", SPILL_BACKENDS)
     def test_spill_restore_roundtrip_reproduces_bytes(self, backend):
         pool = make_pool(spill_backend=backend)
         rng = np.random.default_rng(0)
         table, keys, values = seeded_table(pool, 6 * PAGE, rng)  # > frames
-        assert len(pool.arena) == 6 - pool.n_frames
-        got_k = pool.token_view(table, pool._k)
-        got_v = pool.token_view(table, pool._v)
+        assert len(pool.residency.arena) == 6 - pool.residency.n_frames
+        got_k = pool.keys_view(table)
+        got_v = pool.values_view(table)
         assert got_k.tobytes() == keys.tobytes()
         assert got_v.tobytes() == values.tobytes()
         assert pool.check_invariants(owners=[table]) == []
@@ -134,48 +124,62 @@ class TestTieredPoolMechanics:
         rng = np.random.default_rng(1)
         table, _, _ = seeded_table(pool, 3 * PAGE, rng)
         a, b, c = table.pages
-        pool._page_base(a)  # touch: a is now the hottest
-        pool._page_base(b)
-        pool._page_base(c)
-        pool._page_base(a)
-        assert pool._choose_victim() == b  # coldest of the residents
+        tier = pool.residency
+        tier.base(a)  # touch: a is now the hottest
+        tier.base(b)
+        tier.base(c)
+        tier.base(a)
+        assert tier._choose_victim() == b  # coldest of the residents
 
     def test_spill_ranker_outranks_recency(self):
         pool = make_pool()
         rng = np.random.default_rng(2)
         table, _, _ = seeded_table(pool, 3 * PAGE, rng)
         a, b, c = table.pages
-        pool._page_base(a)  # LRU would evict b next…
+        pool.residency.base(a)  # LRU would evict b next…
         pool.spill_ranker = lambda page: 0 if page == c else 1
-        assert pool._choose_victim() == c  # …but the ranker marks c coldest
+        assert pool.residency._choose_victim() == c  # …but the ranker marks c coldest
 
     def test_all_frames_pinned_raises_pool_exhausted(self):
         pool = make_pool()
         rng = np.random.default_rng(3)
         table, _, _ = seeded_table(pool, 3 * PAGE, rng)
-        pool._pin(table.pages)
+        tier = pool.residency
+        tier.pin(table.pages)
         with pytest.raises(PoolExhausted, match="tier-0 frames exhausted"):
-            pool._choose_victim()
-        pool._unpin(table.pages)
-        assert pool._pins == {}
+            tier._choose_victim()
+        tier.unpin(table.pages)
+        assert tier._pins == {}
 
-    def test_ensure_resident_rejects_oversized_sets(self):
-        pool = make_pool()
+    @pytest.mark.parametrize("kv_dtype", [None, "int8"], ids=["fp64", "int8"])
+    def test_rows_longer_than_tier0_compact_like_all_resident(self, kv_dtype):
+        # Compaction streams the row page by page instead of needing it all
+        # resident at once, and matches the all-resident pool bit for bit.
+        pool = make_pool(kv_dtype=kv_dtype)
+        ref = make_pool(kv_dtype=kv_dtype, tier0_pages=None)
         rng = np.random.default_rng(4)
-        table, _, _ = seeded_table(pool, 5 * PAGE, rng)
-        with pytest.raises(PoolExhausted, match="simultaneously resident"):
-            pool._ensure_resident(table.pages)
+        table, keys, values = seeded_table(pool, 5 * PAGE, rng)
+        ref_table = PageTable()
+        ref.extend(ref_table, keys, values, np.broadcast_to(np.arange(5 * PAGE), (HEADS, 5 * PAGE)))
+        indices = np.stack(
+            [np.sort(rng.choice(5 * PAGE, size=3 * PAGE, replace=False)) for _ in range(HEADS)]
+        )
+        assert pool.gather(table, indices) == ref.gather(ref_table, indices)
+        assert pool.keys_view(table).tobytes() == ref.keys_view(ref_table).tobytes()
+        assert pool.values_view(table).tobytes() == ref.values_view(ref_table).tobytes()
+        assert pool.check_invariants(owners=[table]) == []
 
     def test_restore_pages_bulk_prefetch(self):
         pool = make_pool()
         rng = np.random.default_rng(5)
         table, _, _ = seeded_table(pool, 6 * PAGE, rng)
-        spilled = [p for p in table.pages if p in pool.arena]
+        tier = pool.residency
+        spilled = [p for p in table.pages if p in tier.arena]
         assert len(spilled) == 3
         restored = pool.restore_pages(table.pages)
-        assert restored == pool.n_frames  # as many as tier-0 holds
-        assert all(pool.tier_page_state(p) == "resident" for p in spilled)
-        assert pool._pins == {}  # prefetch pins are transient
+        assert restored == tier.n_frames  # as many as tier-0 holds
+        assert all(tier.page_state(p) == "resident" for p in spilled)
+        assert tier._pins == {}  # prefetch pins are transient
         # Already-resident, out-of-range and unknown pages are no-ops.
         assert pool.restore_pages(spilled + [-1, 10_000]) == 0
         assert pool.check_invariants(owners=[table]) == []
@@ -185,8 +189,9 @@ class TestTieredPoolMechanics:
         rng = np.random.default_rng(6)
         table, _, _ = seeded_table(pool, 6 * PAGE, rng)
         pool.release_table(table)
-        assert len(pool.arena) == 0
-        assert sorted(pool._free_frames) == list(range(pool.n_frames))
+        tier = pool.residency
+        assert len(tier.arena) == 0
+        assert sorted(tier._free_frames) == list(range(tier.n_frames))
         assert pool.check_invariants() == []
 
     def test_logical_growth_keeps_frames_fixed(self):
@@ -194,36 +199,38 @@ class TestTieredPoolMechanics:
         rng = np.random.default_rng(7)
         table, keys, _ = seeded_table(pool, 10 * PAGE, rng)  # forces _grow
         assert pool.n_pages >= 10
-        assert pool.n_frames == 3  # growth buys spillable capacity only
-        assert pool.token_view(table, pool._k).tobytes() == keys.tobytes()
+        assert pool.residency.n_frames == 3  # growth buys spillable capacity only
+        assert pool.keys_view(table).tobytes() == keys.tobytes()
         assert pool.check_invariants(owners=[table]) == []
 
     def test_tier_usage_telemetry_counts_traffic(self):
         pool = make_pool()
         rng = np.random.default_rng(8)
         table, _, _ = seeded_table(pool, 6 * PAGE, rng)
-        usage = pool.tier_usage()
+        tier = pool.residency
+        usage = tier.usage()
         assert usage["tier0_frames"] == 3
         assert usage["resident_pages"] == 3
         assert usage["spilled_pages"] == 3
         assert usage["spills"] >= 3 and usage["spill_bytes"] > 0
-        payload_nbytes = pool._payload_nbytes()
+        payload_nbytes = record_nbytes(pool)
         assert usage["spill_bytes"] == usage["spills"] * payload_nbytes
-        pool.token_view(table, pool._k)  # forces restores
-        after = pool.tier_usage()
+        pool.keys_view(table)  # forces restores
+        after = tier.usage()
         assert after["restores"] > 0
         assert after["restore_bytes"] == after["restores"] * payload_nbytes
-        states = {pool.tier_page_state(p) for p in range(pool.n_pages)}
+        states = {tier.page_state(p) for p in range(pool.n_pages)}
         assert states <= {"resident", "spilled", "free"}
 
     def test_spill_hook_fault_leaves_state_unchanged(self):
         pool = make_pool()
         rng = np.random.default_rng(9)
         table, _, _ = seeded_table(pool, 3 * PAGE, rng)
+        tier = pool.residency
         before = {
-            "frames": pool._page_frame.copy(),
-            "arena": sorted(pool.arena.keys()),
-            "spills": pool.n_spills,
+            "frames": tier._page_frame.copy(),
+            "arena": sorted(tier.arena.keys()),
+            "spills": tier.n_spills,
         }
 
         def boom():
@@ -237,49 +244,47 @@ class TestTieredPoolMechanics:
             pool.extend(bad, keys, keys, positions)  # needs a frame -> spills
         # The transfer fault fired before any mutation: residency maps, the
         # arena and the spill counters are exactly as they were.
-        assert np.array_equal(pool._page_frame, before["frames"])
-        assert sorted(pool.arena.keys()) == before["arena"]
-        assert pool.n_spills == before["spills"]
+        assert np.array_equal(tier._page_frame, before["frames"])
+        assert sorted(tier.arena.keys()) == before["arena"]
+        assert tier.n_spills == before["spills"]
         pool.spill_hook = None
         pool.release_table(bad)  # the caller unwinds its own failed alloc
         assert pool.check_invariants(owners=[table]) == []
 
 
-class TestTieredQuantizedPool:
-    def test_param_rows_travel_with_the_payload(self):
-        pool = make_pool(TieredQuantizedBlockPool, dtype=np.float64)
+class TestTieredInt8Pool:
+    def test_spill_record_carries_codes_only(self):
+        # Quantization parameters are indexed by logical page and stay in
+        # RAM: a record is the page's int8 codes plus its int64 positions.
+        pool = make_pool(kv_dtype="int8", dtype=np.float64)
         rng = np.random.default_rng(10)
         table, keys, values = seeded_table(pool, 6 * PAGE, rng)
-        spilled = [p for p in table.pages if p in pool.arena]
-        assert spilled
-        # Round-trip through the arena: dequantized reads equal a fresh
-        # single-tier quantized pool writing the same history.
-        ref = QuantizedBlockPool(HEADS, D_HEAD, page_size=PAGE, n_pages=8)
+        usage = pool.residency.usage()
+        assert record_nbytes(pool) == HEADS * PAGE * (2 * D_HEAD + 8)
+        assert usage["spill_bytes"] == usage["spills"] * record_nbytes(pool)
+        # Round-trip through the arena: dequantized reads equal an
+        # all-resident int8 pool writing the same history.
+        ref = make_pool(kv_dtype="int8", dtype=np.float64, tier0_pages=None)
         ref_table = PageTable()
         positions = np.broadcast_to(np.arange(6 * PAGE), (HEADS, 6 * PAGE))
         ref.extend(ref_table, keys, values, positions)
-        got = pool.token_view(table, pool._k)
-        want = ref.token_view(ref_table, ref._k)
-        assert got.tobytes() == want.tobytes()
-        assert pool.check_invariants(owners=[table]) == []
-
-    def test_reset_mirrors_into_spilled_records(self):
-        pool = make_pool(TieredQuantizedBlockPool, dtype=np.float64)
-        rng = np.random.default_rng(11)
-        table, _, _ = seeded_table(pool, 6 * PAGE, rng)
-        page = next(p for p in table.pages if p in pool.arena)
-        pool._reset_page_params([page])
-        # The stored parameter section must track the live (reset) params —
-        # otherwise restore would resurrect the stale wider ranges.
+        assert pool.keys_view(table).tobytes() == ref.keys_view(ref_table).tobytes()
         assert pool.check_invariants(owners=[table]) == []
 
 
 class TestKnobPlumbing:
-    def test_resolve_tiered_pool_class(self):
-        assert resolve_tiered_pool_class(BlockPool) is TieredBlockPool
-        assert resolve_tiered_pool_class(QuantizedBlockPool) is TieredQuantizedBlockPool
-        with pytest.raises(ValueError, match="no tiered variant"):
-            resolve_tiered_pool_class(int)
+    @pytest.mark.parametrize(
+        "backend, arena_cls",
+        [
+            (None, CompressedSpillArena),
+            ("compressed", CompressedSpillArena),
+            ("mmap", MmapSpillArena),
+        ],
+    )
+    def test_spill_backend_selects_arena(self, backend, arena_cls):
+        pool = make_pool(spill_backend=backend)
+        assert type(pool.residency.arena) is arena_cls
+        pool.residency.arena.close()
 
     def test_store_builds_tiered_pools(self):
         store = PagedKVStore(
@@ -288,8 +293,9 @@ class TestKnobPlumbing:
         )
         assert store.tier0_frames() == 3
         for pool in store.pools:
-            assert isinstance(pool, TieredBlockPool)
-            assert pool.spill_backend == "mmap"
+            assert isinstance(pool.residency, TieredResidency)
+            assert pool.residency.spill_backend == "mmap"
+            assert type(pool.residency.arena) is MmapSpillArena
         usage = store.usage()
         assert usage["tier"]["tier0_frames"] == 3
         assert usage["tier"]["resident_pages"] == 0
@@ -298,9 +304,21 @@ class TestKnobPlumbing:
         store = PagedKVStore(2, HEADS, D_HEAD, page_size=PAGE, n_pages=8)
         assert store.tier0_frames() is None
         assert "tier" not in store.usage()
+        for pool in store.pools:
+            assert pool.restore_pages([0, 1]) == 0  # same surface, nothing spilled
 
-    def test_store_rejects_backend_without_budget(self):
-        with pytest.raises(ValueError, match="spill_backend requires"):
-            PagedKVStore(
-                2, HEADS, D_HEAD, page_size=PAGE, n_pages=8, spill_backend="mmap"
-            )
+    def test_all_resident_pool_never_fires_spill_callbacks(self):
+        pool = make_pool(tier0_pages=None)
+
+        def boom(*_):
+            raise AssertionError("spill callback fired with every page resident")
+
+        pool.spill_hook = boom
+        pool.spill_ranker = boom
+        rng = np.random.default_rng(12)
+        table, keys, _ = seeded_table(pool, 6 * PAGE, rng)
+        keep = np.broadcast_to(np.arange(0, 6 * PAGE, 2), (HEADS, 3 * PAGE))
+        pool.gather(table, keep)
+        assert pool.keys_view(table).tobytes() == keys[:, ::2].tobytes()
+        assert pool.restore_pages(table.pages) == 0
+        assert pool.residency.usage() == {}

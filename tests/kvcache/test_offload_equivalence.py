@@ -102,8 +102,8 @@ def _assert_drained(engine: ContinuousBatchingEngine) -> None:
         assert not pool.check_invariants(), f"layer {layer} audit dirty at drain"
         assert int((pool.refcounts != 0).sum()) == 0, f"layer {layer} leaked pages"
         assert pool.free_pages == pool.n_pages
-        assert len(pool.arena) == 0, (
-            f"layer {layer}: {len(pool.arena)} spilled page(s) leaked in the "
+        assert len(pool.residency.arena) == 0, (
+            f"layer {layer}: {len(pool.residency.arena)} spilled page(s) leaked in the "
             "tier-1 arena after retire"
         )
 

@@ -30,6 +30,24 @@ def seeded(pool, t, rng=None, start_pos=0):
     return table, keys, values, positions
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"kv_dtype": "fp4"}, "unknown kv_dtype"),
+        ({"tier0_pages": 1}, "tier0_pages must be >= 2"),
+        ({"tier0_pages": 3, "spill_backend": "tape"}, "unknown spill_backend"),
+        ({"spill_backend": "mmap"}, "spill_backend requires tier0_pages"),
+    ],
+    ids=["kv_dtype", "tier0_pages", "spill_backend", "backend_without_budget"],
+)
+def test_rejected_storage_options(options, message):
+    # One check at construction, whichever front door builds the pools.
+    with pytest.raises(ValueError, match=message):
+        make_pool(**options)
+    with pytest.raises(ValueError, match=message):
+        PagedKVStore(2, H, D, page_size=PS, n_pages=8, **options)
+
+
 class TestBlockPoolAllocation:
     def test_alloc_prefers_lowest_contiguous_run(self):
         pool = make_pool()
@@ -88,7 +106,7 @@ class TestExtendAppendGather:
         np.testing.assert_array_equal(pool.values_view(table), values)
         np.testing.assert_array_equal(pool.positions_view(table), positions)
         # Contiguous ascending pages → zero-copy view of the slab.
-        assert pool.keys_view(table).base is pool._k
+        assert pool.keys_view(table).base is pool.residency.slabs["k"]
 
     def test_append_crosses_page_boundary(self):
         pool = make_pool()
@@ -189,13 +207,13 @@ class TestCopyOnWrite:
         table, keys, _, _ = seeded(pool, 3 * PS, rng)
         clone = table.clone()
         pool.retain(clone.pages)  # shared → gather must allocate fresh pages
-        old_k = pool._k
+        old_k = pool.residency.slabs["k"]
         idx = np.sort(
             np.stack([rng.choice(3 * PS, size=PS, replace=False) for _ in range(H)]),
             axis=-1,
         )
         pool.gather(table, idx)
-        assert pool._k is not old_k  # the allocation grew the pool
+        assert pool.residency.slabs["k"] is not old_k  # the allocation grew the pool
         for h in range(H):
             np.testing.assert_array_equal(pool.keys_view(table)[h], keys[h, idx[h]])
         np.testing.assert_array_equal(pool.keys_view(clone), keys)

@@ -10,18 +10,17 @@ feeds admission and telemetry.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.kvcache.cache import LayerKVCache
-from repro.kvcache.paged import BlockPool, PagedKVStore, PageTable, resolve_pool_class
-from repro.kvcache.quant import QMAX, QuantizedBlockPool
+from repro.kvcache.paged import BlockPool, PagedKVStore, PageTable
+from repro.kvcache.quant import QMAX, IdentityCodec, Int8Codec
 
 H, D, PS = 2, 4, 8
 
 
 def make_pool(n_pages=8, **kwargs):
     kwargs.setdefault("dtype", np.float64)
-    return QuantizedBlockPool(H, D, page_size=PS, n_pages=n_pages, **kwargs)
+    return BlockPool(H, D, page_size=PS, n_pages=n_pages, kv_dtype="int8", **kwargs)
 
 
 def seeded(pool, t, rng=None, start_pos=0):
@@ -37,10 +36,8 @@ def seeded(pool, t, rng=None, start_pos=0):
 def per_element_bound(pool, table, name="k"):
     """Max dequantization error per element: half a step of its page's scale."""
     bound = np.empty((H, table.length, 1))
-    for logical, page, _within, chunk in pool._page_chunks(table):
-        bound[:, logical : logical + chunk] = (
-            pool._qscale[name][page][:, None, None] * 0.5
-        )
+    for logical, page, _slot, chunk in pool._runs(table, table.offset, table.length, False):
+        bound[:, logical : logical + chunk] = pool.codec.scale[name][page][:, None, None] * 0.5
     # float32 parameter rounding adds a few ULPs on top of the half-step.
     return bound * 1.001 + 1e-7
 
@@ -81,8 +78,9 @@ class TestRoundTrip:
     def test_codes_are_int8_in_range(self):
         pool = make_pool()
         table, _, _, _ = seeded(pool, PS)
-        assert pool._k.dtype == np.int8
-        live = pool._k[:, : table.length]
+        codes = pool.residency.slabs["k"]
+        assert codes.dtype == np.int8
+        live = codes[:, : table.length]
         assert live.min() >= -QMAX and live.max() <= QMAX
 
     def test_append_widening_keeps_resident_tokens_bounded(self):
@@ -155,7 +153,7 @@ class TestEviction:
         # Fresh destination ranges: the surviving small tokens re-quantize
         # with a tight scale, not the outlier-widened one.
         page = table.pages[0]
-        assert np.all(pool._qscale["k"][page] < 0.01)
+        assert np.all(pool.codec.scale["k"][page] < 0.01)
 
 
 class TestSharedPages:
@@ -239,12 +237,11 @@ class TestAccountingAndPlumbing:
         )
         assert store.usage()["bytes_used"] > 0
 
-    def test_resolve_pool_class(self):
-        assert resolve_pool_class(None) is BlockPool
-        assert resolve_pool_class("native") is BlockPool
-        assert resolve_pool_class("int8") is QuantizedBlockPool
-        with pytest.raises(ValueError, match="kv_dtype"):
-            resolve_pool_class("fp4")
+    def test_kv_dtype_selects_codec(self):
+        cases = ((None, IdentityCodec), ("native", IdentityCodec), ("int8", Int8Codec))
+        for kv_dtype, codec in cases:
+            pool = BlockPool(H, D, page_size=PS, n_pages=2, kv_dtype=kv_dtype)
+            assert type(pool.codec) is codec
 
     def test_layer_cache_kv_dtype_knob_builds_quantized_pool(self):
         rng = np.random.default_rng(6)
@@ -253,21 +250,19 @@ class TestAccountingAndPlumbing:
             rng.normal(size=(1, H, PS, D)),
             kv_dtype="int8",
         )
-        assert isinstance(cache.pool, QuantizedBlockPool)
+        assert isinstance(cache.pool.codec, Int8Codec)
         assert cache.nbytes() < 2 * H * PS * D * 8  # below float64 cost
         assert cache.keys.dtype == np.float64  # reads stay in compute dtype
 
-    def test_page_nbytes_for_matches_pool_classes(self):
+    def test_page_nbytes_for_matches_codecs(self):
         fp = PagedKVStore.page_nbytes_for(None, H, D, PS, np.float64, D)
         q = PagedKVStore.page_nbytes_for("int8", H, D, PS, np.float64, D)
-        assert fp == BlockPool.estimate_page_nbytes(H, D, PS, np.float64, D)
-        assert q == QuantizedBlockPool.estimate_page_nbytes(H, D, PS, np.float64, D)
+        assert fp == IdentityCodec.estimate_page_nbytes(H, D, PS, np.float64, D)
+        assert q == Int8Codec.estimate_page_nbytes(H, D, PS, np.float64, D)
         assert q < fp
 
     def test_grown_pool_keeps_parameter_arrays_aligned(self):
         pool = make_pool(n_pages=2)
         table, keys, _, _ = seeded(pool, 6 * PS)  # forces repeated growth
-        assert pool._qscale["k"].shape[0] == pool.n_pages
-        assert np.all(
-            np.abs(pool.keys_view(table) - keys) <= per_element_bound(pool, table, "k")
-        )
+        assert pool.codec.scale["k"].shape[0] == pool.n_pages
+        assert np.all(np.abs(pool.keys_view(table) - keys) <= per_element_bound(pool, table, "k"))

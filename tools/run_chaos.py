@@ -141,10 +141,10 @@ def run_round(model, prompts, config, faults, audit_every_step):
                 violations.append(
                     f"[{name}] layer {layer}: {leaked} leaked page(s) after retire"
                 )
-            arena = getattr(pool, "arena", None)
-            if arena is not None and len(arena):
+            spilled = pool.residency.usage().get("spilled_pages", 0)
+            if spilled:
                 violations.append(
-                    f"[{name}] layer {layer}: {len(arena)} spilled page(s) "
+                    f"[{name}] layer {layer}: {spilled} spilled page(s) "
                     "leaked in the tier-1 arena after retire"
                 )
     return engine, states, steps, violations
