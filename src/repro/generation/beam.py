@@ -100,8 +100,8 @@ class BeamSearch:
             if not beam_alive.any():
                 break
             current = np.asarray([seq[-1] for seq in beam_tokens], dtype=np.int64)
-            next_logits = self.model.decode_step(
-                current, manager.current_position, layer_views
+            next_logits = self.model.decode_step_batch(
+                current, manager.query_positions(), layer_views
             )
             manager.advance()
             n_steps += 1

@@ -150,8 +150,8 @@ class Generator:
             if finished.all() or step == config.max_new_tokens - 1:
                 break
 
-            next_logits = self.model.decode_step(
-                tokens, manager.current_position, layer_views
+            next_logits = self.model.decode_step_batch(
+                tokens, manager.query_positions(), layer_views
             )
             manager.advance()
             tokens = sampler(next_logits)
@@ -175,9 +175,15 @@ class Generator:
         as during generation) and the continuation is teacher-forced through
         the incremental decode path, so KV-cache reduction affects the scores
         the same way it would affect generation — this is the protocol of the
-        paper's few-shot evaluation (Table 2).
+        paper's few-shot evaluation (Table 2).  It scores one sequence: a
+        multi-row prompt raises ``ValueError``.
         """
         prompt = self._as_batch(prompt_ids)
+        if prompt.shape[0] != 1:
+            raise ValueError(
+                f"score_continuation scores one sequence at a time, got a "
+                f"batch of {prompt.shape[0]} prompts"
+            )
         continuation = [int(t) for t in np.asarray(continuation_ids).reshape(-1)]
         if not continuation:
             raise ValueError("continuation must contain at least one token")
@@ -191,8 +197,8 @@ class Generator:
             total += float(logprobs[0, token])
             if i == len(continuation) - 1:
                 break
-            next_logits = self.model.decode_step(
-                np.asarray([token]), manager.current_position, layer_views
+            next_logits = self.model.decode_step_batch(
+                np.asarray([token]), manager.query_positions(), layer_views
             )
             manager.advance()
         return total

@@ -37,6 +37,7 @@ import copy
 import numpy as np
 
 from repro.core.policies import EvictionPolicy
+from repro.kvcache.manager import verify_rows
 from repro.kvcache.paged import (
     DEFAULT_PAGE_SIZE,
     BlockPool,
@@ -359,9 +360,11 @@ class BatchedLayerView:
 class RowVerifyView:
     """Per-layer speculative-verify facade for one running row.
 
-    Implements the ``VerifyLayerCache`` protocol of
-    :meth:`repro.models.block.DecoderBlock.verify_step` against a single
-    sequence of the batched store — the serving engine's speculation mode
+    The batched-store twin of :class:`repro.kvcache.manager.VerifyCacheView`
+    (same protocol): ``append`` writes the row's ``S``-token draft block,
+    ``attention_view`` returns the row as ``S`` query rows for
+    :meth:`repro.models.block.DecoderBlock.decode_step_batch`, and
+    ``observe`` does nothing — the serving engine's speculation mode
     verifies each row's draft block through these.
     """
 
@@ -369,16 +372,21 @@ class RowVerifyView:
         self.manager = manager
         self.layer_idx = layer_idx
         self.row = row
+        self._n_queries = 0
 
-    def append_block(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append the draft block's KV to this row in one write."""
+    def append(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Append the draft block's KV (``(S, heads, d_head)``) in one write."""
         self.manager.append_block_row(self.layer_idx, self.row, k, v)
+        self._n_queries = k.shape[0]
 
-    def verify_view(
-        self, n_queries: int
+    def attention_view(
+        self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Verify-pass attention inputs over this row's cache."""
-        return self.manager.verify_view_row(self.layer_idx, self.row, n_queries)
+        """The block's ``S`` query rows over this row's cache."""
+        return self.manager.verify_view_row(self.layer_idx, self.row, self._n_queries)
+
+    def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
+        """Nothing to observe: a verify target never evicts."""
 
 
 class BatchedCacheManager:
@@ -901,24 +909,24 @@ class BatchedCacheManager:
     def verify_view_row(
         self, layer_idx: int, row: int, n_queries: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Unbatched verify-pass view of one row (mirrors
-        :meth:`repro.kvcache.manager.CacheManager.verify_view`)."""
+        """Verify-pass attention view of one row: the sequence as ``S`` query
+        rows (see :func:`repro.kvcache.manager.verify_rows`)."""
         cache = self.caches[layer_idx]
         table = cache.tables[row]
         pool = cache.pool
-        length = table.length
-        lengths = np.arange(length - n_queries + 1, length + 1)
-        rotated = self.positional_mode == "original" and self.rope_dims > 0
+        rotated = self.rope_dims > 0
         keys = pool.rotated_view(table) if rotated else pool.keys_view(table)
-        values = pool.values_view(table)
+        key_positions = None
         if self.positional_mode == "original":
             key_positions = pool.positions_view(table)
-            start = self.current_position[row]
-            query_positions = np.arange(start, start + n_queries)
-        else:
-            key_positions = np.broadcast_to(np.arange(length), (self.n_heads, length))
-            query_positions = lengths - 1
-        return keys, values, key_positions, query_positions, lengths, rotated
+        return verify_rows(
+            keys,
+            pool.values_view(table),
+            key_positions,
+            self.current_position[row],
+            n_queries,
+            rotated,
+        )
 
     def commit_verify_row(self, row: int, n_committed: int, n_appended: int) -> None:
         """Finalize one row's verify round: truncate the rejected tail and

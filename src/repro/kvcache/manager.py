@@ -3,8 +3,9 @@
 The manager owns one :class:`LayerKVCache` per decoder layer and a single
 eviction policy.  During incremental decoding each decoder block interacts
 with the manager through a :class:`LayerCacheView`, which implements the
-``LayerDecodeCache`` protocol expected by
-:meth:`repro.models.block.DecoderBlock.decode_step`:
+``BatchedLayerDecodeCache`` protocol expected by
+:meth:`repro.models.block.DecoderBlock.decode_step_batch` (one query row per
+batch row, all of equal length):
 
 1. ``append`` stores the new token's key/value;
 2. ``attention_view`` exposes keys/values plus positional indices in either
@@ -12,6 +13,10 @@ with the manager through a :class:`LayerCacheView`, which implements the
 3. ``observe`` hands the step's attention logits/probabilities to the policy,
    which may return a selection of entries to retain; the manager applies the
    selection (to one layer, or to all layers for shared score functions).
+
+A speculative verify pass runs the same kernel through a
+:class:`VerifyCacheView` instead: the ``S`` draft tokens of the one sequence
+become ``S`` query rows over its cache.
 """
 
 from __future__ import annotations
@@ -23,11 +28,42 @@ from repro.kvcache.cache import LayerKVCache
 from repro.kvcache.paged import DEFAULT_PAGE_SIZE, PagedKVStore, PageTable, pages_needed
 from repro.kvcache.stats import CacheStats
 
-__all__ = ["CacheManager", "LayerCacheView"]
+__all__ = ["CacheManager", "LayerCacheView", "VerifyCacheView", "verify_rows"]
+
+
+def verify_rows(
+    keys: np.ndarray,
+    values: np.ndarray,
+    key_positions: np.ndarray | None,
+    first_query: int,
+    n_queries: int,
+    keys_rotated: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The attention view of a verify pass over one sequence's cache.
+
+    ``keys``/``values`` (``(heads, L, d)``) hold the sequence with its last
+    ``n_queries`` tokens just appended.  They are broadcast zero-copy to
+    ``S = n_queries`` rows; ``lengths[i]`` is the causal cache length query
+    ``i`` may attend over — the cache a sequential decode step would have
+    seen.  Query positions start at original position ``first_query``;
+    ``key_positions=None`` selects renumbered positions (Keyformer (New
+    Pos)), where query ``i`` sits at ``lengths[i] - 1``.
+    """
+    n_heads, length = keys.shape[:2]
+    lengths = np.arange(length - n_queries + 1, length + 1)
+    if key_positions is None:
+        key_positions = np.broadcast_to(np.arange(length), (n_heads, length))
+        query_positions = lengths - 1
+    else:
+        query_positions = np.arange(first_query, first_query + n_queries)
+    keys, values, key_positions = (
+        np.broadcast_to(x, (n_queries,) + x.shape) for x in (keys, values, key_positions)
+    )
+    return keys, values, key_positions, query_positions, lengths, keys_rotated
 
 
 class LayerCacheView:
-    """Per-layer facade implementing the model's ``LayerDecodeCache`` protocol."""
+    """Per-layer decode facade of the solo manager (one query row per batch row)."""
 
     def __init__(self, manager: "CacheManager", layer_idx: int):
         self.manager = manager
@@ -39,24 +75,44 @@ class LayerCacheView:
 
     def attention_view(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Keys/values plus positional indices for the attention step."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Keys/values plus positional indices and per-row lengths."""
         return self.manager.attention_view(self.layer_idx)
 
     def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
         """Hand the step's attention tensors to the eviction policy."""
         self.manager.observe(self.layer_idx, logits, probs)
 
-    # -- speculative verify protocol (see DecoderBlock.verify_step) --------
-    def append_block(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append the draft block's KV to this layer in one write."""
-        self.manager.append_block(self.layer_idx, k, v)
 
-    def verify_view(
-        self, n_queries: int
+class VerifyCacheView:
+    """Per-layer speculative-verify facade of the solo manager.
+
+    ``append`` writes the ``S``-token draft block in one page-span write,
+    ``attention_view`` returns the sequence as ``S`` query rows (see
+    :func:`verify_rows`), and ``observe`` does nothing: the verify path is
+    only sound for a no-eviction target policy, so nothing may shrink the
+    cache between appends (rejected tokens are rolled back by
+    :meth:`CacheManager.commit_verify` instead).
+    """
+
+    def __init__(self, manager: "CacheManager", layer_idx: int):
+        self.manager = manager
+        self.layer_idx = layer_idx
+        self._n_queries = 0
+
+    def append(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Append the draft block's KV (``(S, heads, d_head)``) in one write."""
+        self.manager.append_block(self.layer_idx, k, v)
+        self._n_queries = k.shape[0]
+
+    def attention_view(
+        self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Verify-pass attention inputs over this layer's cache."""
-        return self.manager.verify_view(self.layer_idx, n_queries)
+        """The block's ``S`` query rows over this layer's cache."""
+        return self.manager.verify_view(self.layer_idx, self._n_queries)
+
+    def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
+        """Nothing to observe: a verify target never evicts."""
 
 
 class CacheManager:
@@ -306,7 +362,7 @@ class CacheManager:
     # decode phase
     # ------------------------------------------------------------------
     def layer_view(self, layer_idx: int) -> LayerCacheView:
-        """The per-layer facade handed to ``DecoderBlock.decode_step``."""
+        """The per-layer facade handed to ``DecoderBlock.decode_step_batch``."""
         if not (0 <= layer_idx < self.n_layers):
             raise IndexError(f"layer index {layer_idx} out of range")
         return LayerCacheView(self, layer_idx)
@@ -315,6 +371,15 @@ class CacheManager:
         """Views for all layers, in order."""
         return [self.layer_view(i) for i in range(self.n_layers)]
 
+    def query_positions(self) -> np.ndarray:
+        """Original position of every row's next token, shape ``(B,)``."""
+        if self._qpos_array is None:
+            # One array per decoding step, shared by every layer.
+            self._qpos_array = np.full(
+                self.caches[0].batch_size, self.current_position, dtype=np.int64
+            )
+        return self._qpos_array
+
     def append(self, layer_idx: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append the current token's key/value to one layer's cache."""
         self.caches[layer_idx].append(k, v, self.current_position)
@@ -322,32 +387,27 @@ class CacheManager:
 
     def attention_view(
         self, layer_idx: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """``(keys, values, key_positions, query_positions, keys_rotated)``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+        """``(keys, values, key_positions, query_positions, lengths, keys_rotated)``.
 
-        With rotated-key caching active, ``keys`` are already RoPE-rotated at
-        their original positions (``keys_rotated=True``) and the attention
-        step skips its own key rotation.
+        Every row holds the same number of live entries, so ``lengths`` is
+        constant and nothing is padded.  With rotated-key caching active,
+        ``keys`` are already RoPE-rotated at their original positions
+        (``keys_rotated=True``) and the attention step skips its own key
+        rotation.
         """
         cache = self.caches[layer_idx]
-        keys_rotated = False
+        lengths = np.full(cache.batch_size, cache.length)
+        keys_rotated = self.rope_dims > 0
+        keys = cache.rotated_keys() if keys_rotated else cache.keys
         if self.positional_mode == "original":
             key_positions = cache.retained_original_positions()
-            if self._qpos_array is None:
-                # One array per decoding step, shared by every layer.
-                self._qpos_array = np.asarray(self.current_position)
-            query_positions = self._qpos_array
-            if self.rope_dims > 0:
-                keys = cache.rotated_keys()
-                keys_rotated = True
-            else:
-                keys = cache.keys
+            query_positions = self.query_positions()
         else:
-            keys = cache.keys
             key_positions = cache.renumbered_positions()
-            query_positions = np.asarray(cache.length - 1)
+            query_positions = lengths - 1
         self._step_lengths.append(cache.length)
-        return keys, cache.values, key_positions, query_positions, keys_rotated
+        return keys, cache.values, key_positions, query_positions, lengths, keys_rotated
 
     def observe(self, layer_idx: int, logits: np.ndarray, probs: np.ndarray) -> None:
         """Run the policy on the step's attention tensors; apply evictions."""
@@ -379,6 +439,10 @@ class CacheManager:
     # ------------------------------------------------------------------
     # speculative verify phase
     # ------------------------------------------------------------------
+    def verify_views(self) -> list[VerifyCacheView]:
+        """Per-layer verify facades (see :class:`VerifyCacheView`)."""
+        return [VerifyCacheView(self, i) for i in range(self.n_layers)]
+
     def append_block(self, layer_idx: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append ``S`` consecutive tokens to one layer's cache in one write.
 
@@ -402,34 +466,22 @@ class CacheManager:
     def verify_view(
         self, layer_idx: int, n_queries: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """``(keys, values, key_positions, query_positions, lengths,
-        keys_rotated)`` for a verify pass over the last ``n_queries`` appended
-        tokens.
-
-        Shapes are unbatched — ``(heads, L, d)`` tensors plus per-query
-        ``query_positions``/``lengths`` of shape ``(S,)``; ``lengths[i]`` is
-        the causal cache length query ``i`` may attend over (the prefix a
-        sequential decode would have seen at that step).
-        """
+        """Verify-pass attention view over the last ``n_queries`` appended
+        tokens: the sequence as ``S`` query rows (see :func:`verify_rows`)."""
         cache = self.caches[layer_idx]
-        length = cache.length
-        lengths = np.arange(length - n_queries + 1, length + 1)
-        keys_rotated = False
+        rotated = self.rope_dims > 0
+        keys = cache.rotated_keys() if rotated else cache.keys
+        key_positions = None
         if self.positional_mode == "original":
             key_positions = cache.retained_original_positions()[0]
-            query_positions = np.arange(
-                self.current_position, self.current_position + n_queries
-            )
-            if self.rope_dims > 0:
-                keys = cache.rotated_keys()[0]
-                keys_rotated = True
-            else:
-                keys = cache.keys[0]
-        else:
-            keys = cache.keys[0]
-            key_positions = np.broadcast_to(np.arange(length), (self.n_heads, length))
-            query_positions = lengths - 1
-        return keys, cache.values[0], key_positions, query_positions, lengths, keys_rotated
+        return verify_rows(
+            keys[0],
+            cache.values[0],
+            key_positions,
+            self.current_position,
+            n_queries,
+            rotated,
+        )
 
     def commit_verify(self, n_committed: int, n_appended: int) -> None:
         """Finalize one verify round: roll back the rejected tail and advance.

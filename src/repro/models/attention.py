@@ -2,11 +2,11 @@
 
 The training path (:meth:`MultiHeadAttention.forward` / ``backward``) operates
 on full sequences and supports manual backpropagation.  The decode path is
-split into three stateless steps (``project_step``, ``attend_step`` and the
-output projection inside ``attend_step``) so that the KV-cache manager in
-:mod:`repro.kvcache` can interpose between the key/value projection and the
-actual attention computation — that is exactly where Keyformer and the
-baseline policies observe attention logits and evict tokens.
+split into stateless steps (``project_qkv_rows`` / ``project_qkv`` and
+``attend_step_batch``, which includes the output projection) so that the
+KV-cache managers in :mod:`repro.kvcache` can interpose between the key/value
+projection and the actual attention computation — that is exactly where
+Keyformer and the baseline policies observe attention logits and evict tokens.
 """
 
 from __future__ import annotations
@@ -283,200 +283,6 @@ class MultiHeadAttention(Module):
         v = self.w_v.forward_rows(x).reshape(b, self.n_heads, self.d_head)
         return q, k, v
 
-    def attend_step(
-        self,
-        q: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        query_positions: np.ndarray | int,
-        key_positions: np.ndarray,
-        keys_rotated: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Attend a single query token over cached keys/values.
-
-        Parameters
-        ----------
-        q:
-            Query of shape ``(batch, n_heads, d_head)`` (unrotated).
-        keys, values:
-            Cached tensors of shape ``(batch, n_heads, L, d_head)``.
-        query_positions:
-            Position index of the query token (scalar or ``(batch,)``).
-        key_positions:
-            Positions of the cached keys, shape ``(batch, n_heads, L)``.
-        keys_rotated:
-            When true, ``keys`` already carry RoPE at ``key_positions`` (the
-            KV cache maintains rotated keys incrementally) and only the query
-            is rotated here — the per-step O(L) key re-rotation disappears.
-
-        Returns
-        -------
-        ``(output, logits, probs)`` where ``output`` has shape
-        ``(batch, d_model)``, and ``logits`` / ``probs`` have shape
-        ``(batch, n_heads, L)``.  ``logits`` are the *unnormalized* scaled
-        dot-product values (the :math:`x_i` of Eq. 4 in the paper), which the
-        Keyformer score function perturbs with Gumbel noise.
-        """
-        b = q.shape[0]
-        query_positions = np.asarray(query_positions)
-
-        if self.positional == "rope":
-            if self._rope_table is not None and query_positions.ndim == 0:
-                # Steady-state decode: one scalar query position.
-                q_rot = self._rope_table.rotate_uniform(q, int(query_positions))
-            else:
-                q_pos = query_positions if query_positions.ndim else query_positions[None]
-                if q_pos.shape != (b,):
-                    q_pos = np.broadcast_to(q_pos, (b,))
-                if self._rope_table is not None:
-                    q_rot = self._rope_table.rotate(q, q_pos[:, None])
-                else:
-                    q_rot = rope_rotate(q, q_pos[:, None], self.rope_dims)
-            if keys_rotated:
-                k_rot = keys
-            elif self._rope_table is not None:
-                k_rot = self._rope_table.rotate(keys, key_positions)
-            else:
-                k_rot = rope_rotate(keys, key_positions, self.rope_dims)
-        else:
-            q_rot, k_rot = q, keys
-
-        scale = self._scale
-        if q_rot.dtype == np.float64:
-            # float64 is the bit-parity dtype: keep einsum's exact reduction
-            # order so generation stays token-identical with the reference.
-            logits = np.einsum("bhd,bhld->bhl", q_rot, k_rot) * scale
-        else:
-            # float32 inference runs within a documented tolerance, so use the
-            # (much faster) BLAS batched matmul kernel.
-            logits = (q_rot[:, :, None, :] @ k_rot.swapaxes(-1, -2))[:, :, 0, :] * scale
-
-        if self.positional == "alibi":
-            logits = logits + alibi_bias_step(self.n_heads, query_positions, key_positions)
-
-        probs = ops.softmax(logits, axis=-1)
-        if probs.dtype == np.float64:
-            ctx = np.einsum("bhl,bhld->bhd", probs, values)
-        else:
-            ctx = (probs[:, :, None, :] @ values)[:, :, 0, :]
-        out = self.w_o(ctx.reshape(b, self.d_model))
-        return out, logits, probs
-
-    # ------------------------------------------------------------------
-    # speculative verify path
-    # ------------------------------------------------------------------
-    def attend_verify(
-        self,
-        q: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        query_positions: np.ndarray,
-        key_positions: np.ndarray,
-        lengths: np.ndarray,
-        keys_rotated: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Attend ``S`` consecutive queries of *one* sequence over its cache.
-
-        The speculative verify pass appends the whole draft block's KV to the
-        cache first and then scores every draft position in a single call:
-        query ``i`` attends over the causal cache prefix of ``lengths[i]``
-        entries — exactly the cache a sequential :meth:`attend_step` would
-        have seen at that step.
-
-        Parameters
-        ----------
-        q:
-            Unrotated queries, shape ``(S, n_heads, d_head)``.
-        keys, values:
-            The sequence's cache including the just-appended draft block,
-            shape ``(n_heads, L, d_head)`` with ``L == lengths[-1]``.
-        query_positions:
-            Original position of each query token, shape ``(S,)``.
-        key_positions:
-            Positions of the cached keys, shape ``(n_heads, L)``.
-        lengths:
-            Causal live length per query (ascending), shape ``(S,)``.
-        keys_rotated:
-            As in :meth:`attend_step`: keys already carry RoPE at
-            ``key_positions``.
-
-        Bit-exactness contract (float64): row ``i`` of every output is
-        bit-identical to :meth:`attend_step` on that token alone — queries
-        rotate per-row (elementwise), the logits einsum reduces over
-        ``d_head`` only (entries beyond ``lengths[i]`` cannot perturb live
-        ones), softmax and the value reduction run per query on exact-length
-        slices, and the output projection uses the row-exact kernel.  At
-        float32 the whole block runs masked and fully batched (the documented
-        inference tolerance mode).
-
-        Returns ``(output, logits, probs)`` shaped ``(S, d_model)`` and
-        ``(S, heads, L)``; ``logits``/``probs`` rows are valid up to
-        ``lengths[i]`` entries.
-        """
-        s = q.shape[0]
-        lengths = np.asarray(lengths)
-        query_positions = np.asarray(query_positions)
-
-        if self.positional == "rope":
-            if self._rope_table is not None:
-                q_rot = self._rope_table.rotate(q, query_positions[:, None])
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else self._rope_table.rotate(keys, key_positions)
-                )
-            else:
-                q_rot = rope_rotate(q, query_positions[:, None], self.rope_dims)
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else rope_rotate(keys, key_positions, self.rope_dims)
-                )
-        else:
-            q_rot, k_rot = q, keys
-
-        scale = self._scale
-        exact = q_rot.dtype == np.float64
-        keys_b = np.broadcast_to(k_rot, (s,) + k_rot.shape)
-        values_b = np.broadcast_to(values, (s,) + values.shape)
-        if exact:
-            # Same einsum as attend_step with the query axis batched; the
-            # reduction runs over d_head only, so each row's bits match its
-            # solo call (the broadcast key view adds a zero stride, which
-            # does not reorder the per-element reduction).
-            logits = np.einsum("bhd,bhld->bhl", q_rot, keys_b) * scale
-        else:
-            logits = (q_rot[:, :, None, :] @ k_rot.swapaxes(-1, -2)[None])[
-                :, :, 0, :
-            ] * scale
-
-        if self.positional == "alibi":
-            logits = logits + alibi_bias_step(
-                self.n_heads,
-                query_positions,
-                np.broadcast_to(key_positions, (s,) + key_positions.shape),
-            )
-
-        if exact:
-            probs = np.zeros_like(logits)
-            ctx = np.empty((s, self.n_heads, self.d_head), dtype=logits.dtype)
-            for i in range(s):
-                live = int(lengths[i])
-                p = ops.softmax(logits[i : i + 1, :, :live], axis=-1)
-                probs[i, :, :live] = p[0]
-                ctx[i] = np.einsum("bhl,bhld->bhd", p, values_b[i : i + 1, :, :live])[0]
-            out = self.w_o.forward_rows(ctx.reshape(s, self.d_model))
-        else:
-            mask = np.arange(logits.shape[-1]) >= lengths[:, None, None]
-            logits = np.where(mask, -np.inf, logits)
-            probs = ops.softmax(logits, axis=-1)
-            ctx = (probs[:, :, None, :] @ values_b)[:, :, 0, :]
-            out = self.w_o(ctx.reshape(s, self.d_model))
-        return out, logits, probs
-
-    # ------------------------------------------------------------------
-    # ragged-batch decode path (continuous batching)
-    # ------------------------------------------------------------------
     def attend_step_batch(
         self,
         q: np.ndarray,
@@ -487,23 +293,29 @@ class MultiHeadAttention(Module):
         lengths: np.ndarray,
         keys_rotated: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Attend one query token per sequence over a ragged batch of caches.
+        """Attend one query per row over a ragged batch of caches.
 
+        This is the only single-token attention kernel.  Each row is one
+        query: a sequence of a continuous batch, a beam, or one token of a
+        speculative verify block (whose cache view broadcasts the sequence
+        to every query row with ascending causal ``lengths``).
         ``keys``/``values``/``key_positions`` are padded to the longest
-        sequence (``L_max``); row ``b`` holds ``lengths[b]`` live entries.
-        ``query_positions`` has shape ``(batch,)`` — one position per
-        sequence, since sequences in a continuous batch are at different
-        decoding depths.
+        row (``L_max``); row ``b`` holds ``lengths[b]`` live entries.
+        ``query_positions`` has shape ``(batch,)`` — one position per row.
+        ``keys_rotated`` signals that ``keys`` already carry RoPE at
+        ``key_positions`` (the cache maintains rotated keys), so only the
+        query is rotated here.
 
-        Two execution modes, selected by dtype (same convention as
-        :meth:`attend_step`):
+        Two execution modes, selected by dtype:
 
         * **float64 (bit-parity)** — logits come from one padded einsum (the
           reduction runs over ``d_head`` only, so padding cannot perturb live
           entries), while softmax and the value reduction run per sequence on
           exact-length slices: summing over a padded axis would regroup the
           pairwise reduction and break bit-equality with a sequence decoded
-          alone.  The output projection uses the row-exact kernel.
+          alone.  When every row is live to ``L_max`` the batched calls are
+          bitwise equal to that per-row loop and run instead.  The output
+          projection uses the row-exact kernel.
         * **float32 (throughput)** — padded slots are masked to ``-inf`` and
           the whole batch runs through BLAS softmax/matmul in one shot,
           within the documented float32 tolerance.
@@ -511,29 +323,19 @@ class MultiHeadAttention(Module):
         Returns ``(output, logits, probs)`` shaped ``(batch, d_model)`` and
         ``(batch, heads, L_max)``; rows of ``logits``/``probs`` are valid up
         to ``lengths[b]`` entries (beyond that: unmasked garbage at float64,
-        ``-inf``/``0`` at float32).
+        ``-inf``/``0`` at float32).  ``logits`` are the *unnormalized* scaled
+        dot-product values (the :math:`x_i` of Eq. 4 in the paper), which the
+        Keyformer score function perturbs with Gumbel noise.
         """
         r = q.shape[0]
         lengths = np.asarray(lengths)
         query_positions = np.asarray(query_positions)
 
-        if self.positional == "rope":
+        if self._rope_table is not None:
             # Per-row positions; elementwise, hence bit-identical per row to
-            # the scalar-position rotation of the single-sequence path.
-            if self._rope_table is not None:
-                q_rot = self._rope_table.rotate(q, query_positions[:, None])
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else self._rope_table.rotate(keys, key_positions)
-                )
-            else:
-                q_rot = rope_rotate(q, query_positions[:, None], self.rope_dims)
-                k_rot = (
-                    keys
-                    if keys_rotated
-                    else rope_rotate(keys, key_positions, self.rope_dims)
-                )
+            # rotating that row alone.  (No table means no rotated dims.)
+            q_rot = self._rope_table.rotate(q, query_positions[:, None])
+            k_rot = keys if keys_rotated else self._rope_table.rotate(keys, key_positions)
         else:
             q_rot, k_rot = q, keys
 
@@ -551,8 +353,8 @@ class MultiHeadAttention(Module):
 
         if exact:
             if r > 0 and int(lengths.min()) == logits.shape[-1]:
-                # All sequences at the same depth (steady state of a fixed
-                # kv_budget policy): no padding exists, and softmax/einsum
+                # All rows at the same depth (solo and beam decode, or the
+                # steady state of a fixed kv_budget policy): no padding exists, and softmax/einsum
                 # reduce each row independently — one batched call is bitwise
                 # equal to the per-row loop.
                 probs = ops.softmax(logits, axis=-1)

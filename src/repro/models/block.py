@@ -11,83 +11,41 @@ from repro.models.config import ModelConfig
 from repro.models.layers import LayerNorm, Module
 from repro.models.mlp import MLP
 
-__all__ = [
-    "DecoderBlock",
-    "LayerDecodeCache",
-    "BatchedLayerDecodeCache",
-    "VerifyLayerCache",
-]
-
-
-class VerifyLayerCache(Protocol):
-    """Interface a per-layer cache must implement for speculative verification.
-
-    The verify pass processes ``S`` consecutive tokens of one sequence in a
-    single call: it appends the whole block's KV first, then reads the cache
-    back with per-query causal lengths.  There is no ``observe`` hook — the
-    verify path is only sound for a no-eviction target policy, so nothing
-    may shrink the cache between appends (rejected tokens are rolled back by
-    the manager's ``commit_verify`` instead).
-    """
-
-    def append_block(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append ``S`` tokens' keys/values, each of shape ``(S, heads, d_head)``."""
-
-    def verify_view(
-        self, n_queries: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Return ``(keys, values, key_positions, query_positions, lengths,
-        keys_rotated)`` — unbatched ``(heads, L, ...)`` tensors plus per-query
-        positions/lengths of shape ``(S,)`` (see
-        :meth:`repro.kvcache.manager.CacheManager.verify_view`)."""
+__all__ = ["DecoderBlock", "BatchedLayerDecodeCache"]
 
 
 class BatchedLayerDecodeCache(Protocol):
-    """Interface a ragged-batch KV cache must implement for continuous batching.
+    """Interface a per-layer KV cache must implement for incremental decoding.
 
-    Mirrors :class:`LayerDecodeCache`, but every tensor carries one row per
-    in-flight sequence and ``attention_view`` additionally returns per-row
-    live lengths (rows are padded to the longest sequence).  The concrete
-    implementation is :class:`repro.kvcache.batch.BatchedLayerView`.
+    Every tensor carries one row per query, and ``attention_view`` returns
+    per-row live lengths (rows are padded to the longest).  The model only
+    relies on this protocol, so it stays independent of the eviction
+    policies layered on top.  The implementations live in
+    :mod:`repro.kvcache`:
+
+    * :class:`repro.kvcache.batch.BatchedLayerView` — one row per in-flight
+      sequence of the serving engine;
+    * :class:`repro.kvcache.manager.LayerCacheView` — the solo manager's
+      rows (one sequence, or one per beam), all of equal length;
+    * :class:`repro.kvcache.manager.VerifyCacheView` and
+      :class:`repro.kvcache.batch.RowVerifyView` — the ``S`` tokens of one
+      sequence's speculative verify block, one query row each.
     """
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Store each sequence's new key/value (shape ``(batch, heads, d_head)``)."""
+        """Store each row's new key/value (shape ``(rows, heads, d_head)``)."""
 
     def attention_view(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
         """Return ``(keys, values, key_positions, query_positions, lengths,
         keys_rotated)`` — padded to the longest row; ``lengths[b]`` gives row
-        ``b``'s live entry count and ``query_positions`` is per-row."""
+        ``b``'s live entry count and ``query_positions`` is per-row.
+        ``keys_rotated`` signals that ``keys`` already carry RoPE at
+        ``key_positions``, so the attention step must not rotate them again."""
 
     def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
-        """Feed padded attention logits/probabilities to per-sequence policies."""
-
-
-class LayerDecodeCache(Protocol):
-    """Interface a per-layer KV cache must implement for incremental decoding.
-
-    The concrete implementation lives in :mod:`repro.kvcache`; decoder blocks
-    only rely on this protocol so the model substrate stays independent of the
-    eviction policies layered on top of it.
-    """
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Store the key/value of the newly produced token."""
-
-    def attention_view(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Return ``(keys, values, key_positions, query_positions, keys_rotated)``.
-
-        ``keys_rotated`` signals that ``keys`` already carry RoPE at the given
-        key positions (incrementally maintained by the cache), so the
-        attention step must not rotate them again.
-        """
-
-    def observe(self, logits: np.ndarray, probs: np.ndarray) -> None:
-        """Feed attention logits/probabilities to the eviction policy."""
+        """Feed padded attention logits/probabilities to the eviction policy."""
 
 
 class DecoderBlock(Module):
@@ -152,72 +110,19 @@ class DecoderBlock(Module):
     # ------------------------------------------------------------------
     # incremental decode path
     # ------------------------------------------------------------------
-    def decode_step(self, x: np.ndarray, layer_cache: LayerDecodeCache) -> np.ndarray:
-        """Process one token through the block using a per-layer KV cache.
-
-        ``x`` has shape ``(batch, d_model)``.  The cache appends the new
-        key/value, exposes the retained keys/values with their positions, and
-        observes the attention logits/probabilities so its eviction policy
-        (Keyformer, H2O, window, ...) can update token scores and evict.
-        """
-        a_in = self.ln_attn(x)
-        q, k, v = self.attn.project_qkv(a_in)
-        layer_cache.append(k, v)
-        keys, values, key_positions, query_positions, keys_rotated = (
-            layer_cache.attention_view()
-        )
-        attn_out, logits, probs = self.attn.attend_step(
-            q, keys, values, query_positions, key_positions, keys_rotated=keys_rotated
-        )
-        layer_cache.observe(logits, probs)
-        x = x + attn_out
-        return x + self.mlp(self.ln_mlp(x))
-
-    def verify_step(self, x: np.ndarray, layer_cache: VerifyLayerCache) -> np.ndarray:
-        """Process ``S`` consecutive draft tokens of one sequence through the block.
-
-        ``x`` has shape ``(S, d_model)`` — the last committed token followed
-        by the drafted continuation.  All ``S`` keys/values are appended to
-        the cache first (optimistically; the speculative decoder rolls back
-        rejected ones), then query ``i`` attends over the causal prefix a
-        sequential :meth:`decode_step` would have seen.  At float64 every row
-        of the result is bit-identical to feeding the tokens one at a time;
-        at float32 the block runs fully batched within the documented
-        inference tolerance.
-        """
-        exact = x.dtype == np.float64
-        a_in = self.ln_attn(x)
-        if exact:
-            q, k, v = self.attn.project_qkv_rows(a_in)
-        else:
-            q, k, v = self.attn.project_qkv(a_in)
-        layer_cache.append_block(k, v)
-        keys, values, key_positions, query_positions, lengths, keys_rotated = (
-            layer_cache.verify_view(x.shape[0])
-        )
-        attn_out, _, _ = self.attn.attend_verify(
-            q,
-            keys,
-            values,
-            query_positions,
-            key_positions,
-            lengths,
-            keys_rotated=keys_rotated,
-        )
-        x = x + attn_out
-        h = self.ln_mlp(x)
-        return x + (self.mlp.forward_rows(h) if exact else self.mlp(h))
-
     def decode_step_batch(
         self, x: np.ndarray, layer_cache: BatchedLayerDecodeCache
     ) -> np.ndarray:
-        """Process one token per in-flight sequence through the block.
+        """Process one token per query row through the block.
 
-        ``x`` has shape ``(batch, d_model)`` with one row per sequence; each
-        sequence attends over its own (ragged) cache row.  At float64 the
+        ``x`` has shape ``(rows, d_model)``; each row attends over its own
+        (ragged) cache row.  The cache appends the new keys/values, exposes
+        the retained keys/values with their positions, and observes the
+        attention logits/probabilities so its eviction policy (Keyformer,
+        H2O, window, ...) can update token scores and evict.  At float64 the
         projections use the row-exact kernels, making every row bit-identical
-        to :meth:`decode_step` on that sequence alone; at float32 the
-        projections run as one batched BLAS matmul (documented tolerance).
+        to running that row alone; at float32 the projections run as one
+        batched BLAS matmul (documented tolerance).
         """
         exact = x.dtype == np.float64
         a_in = self.ln_attn(x)

@@ -7,12 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.models import tensor_ops as ops
-from repro.models.block import (
-    BatchedLayerDecodeCache,
-    DecoderBlock,
-    LayerDecodeCache,
-    VerifyLayerCache,
-)
+from repro.models.block import BatchedLayerDecodeCache, DecoderBlock
 from repro.models.config import ModelConfig
 from repro.models.layers import Embedding, LayerNorm, Linear, Module, dot_rows
 
@@ -34,8 +29,8 @@ class DecoderLM(Module):
 
     * :meth:`forward` / :meth:`backward` / :meth:`loss` — full-sequence
       training (and prompt processing);
-    * :meth:`embed_step` + :meth:`DecoderBlock.decode_step` +
-      :meth:`lm_logits` — incremental decoding with a pluggable KV cache.
+    * :meth:`decode_step_batch` — incremental decoding, one token per
+      query row, over a pluggable per-layer KV cache view.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -233,71 +228,25 @@ class DecoderLM(Module):
     # ------------------------------------------------------------------
     # incremental decode path
     # ------------------------------------------------------------------
-    def decode_step(
-        self,
-        token_ids: np.ndarray,
-        positions: np.ndarray | int,
-        layer_caches: Sequence[LayerDecodeCache],
-    ) -> np.ndarray:
-        """Run one decoding step through all layers using per-layer caches.
-
-        Returns the vocabulary logits for the new token, shape ``(B, vocab)``.
-        """
-        if len(layer_caches) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} layer caches, got {len(layer_caches)}"
-            )
-        h = self.embed_step(token_ids, positions)
-        for block, cache in zip(self.blocks, layer_caches):
-            h = block.decode_step(h, cache)
-        h = self.ln_final(h)
-        return self.lm_logits(h)
-
-    def verify_step(
-        self,
-        token_ids: np.ndarray,
-        positions: np.ndarray,
-        layer_caches: Sequence["VerifyLayerCache"],
-    ) -> np.ndarray:
-        """Teacher-forced multi-token decode for speculative verification.
-
-        ``token_ids``/``positions`` have shape ``(S,)`` — ``S`` consecutive
-        tokens of *one* sequence (the last committed token followed by the
-        draft).  Every layer appends all ``S`` KV entries and attends each
-        query over its causal prefix, so the returned logits ``(S, vocab)``
-        satisfy: at float64, row ``i`` is bit-identical to
-        :meth:`decode_step` fed token ``i`` after tokens ``0..i-1`` — the
-        greedy-acceptance test of speculative decoding therefore reproduces
-        vanilla greedy decoding exactly.
-        """
-        token_ids = np.asarray(token_ids).reshape(-1)
-        positions = np.asarray(positions).reshape(-1)
-        if len(layer_caches) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} layer caches, got {len(layer_caches)}"
-            )
-        h = self.embed_step(token_ids, positions)
-        for block, cache in zip(self.blocks, layer_caches):
-            h = block.verify_step(h, cache)
-        h = self.ln_final(h)
-        if h.dtype == np.float64:
-            return self.lm_logits_rows(h)
-        return self.lm_logits(h)
-
     def decode_step_batch(
         self,
         token_ids: np.ndarray,
         positions: np.ndarray,
         layer_caches: Sequence[BatchedLayerDecodeCache],
     ) -> np.ndarray:
-        """One decoding step for a ragged batch of independent sequences.
+        """One decoding step: one token per query row, through all layers.
 
-        ``token_ids`` and ``positions`` have shape ``(batch,)`` — each
-        sequence contributes one token at its own position.  Embedding,
-        layer norms and activations are row-independent; projections use the
-        row-exact kernels at float64 — so each row of the returned logits
-        ``(batch, vocab)`` is bit-identical to :meth:`decode_step` run on
-        that sequence alone.  At float32, projections run fully batched.
+        ``token_ids`` and ``positions`` have shape ``(rows,)`` — each row
+        contributes one token at its own position.  A row is a sequence of a
+        continuous batch, a beam, or one token of a speculative verify block
+        (``S`` consecutive tokens of one sequence, whose cache views give
+        query ``i`` the causal prefix a sequential step would have seen).
+        Embedding, layer norms and activations are row-independent;
+        projections use the row-exact kernels at float64 — so each row of
+        the returned logits ``(rows, vocab)`` is bit-identical to the same
+        call on that row alone, and a verify block's row ``i`` is
+        bit-identical to feeding its tokens one at a time.  At float32,
+        projections run fully batched.
         """
         if len(layer_caches) != len(self.blocks):
             raise ValueError(

@@ -33,8 +33,9 @@ Bit-exactness invariant
 -----------------------
 At float64 every request's output — token sequence, log-probabilities and
 cache statistics — is **bit-identical** to running that request alone through
-``Generator.generate``.  This holds because every shared computation is
-row-independent, all cross-request state (eviction policies, score
+``Generator.generate``.  This holds because ``Generator`` runs the same
+:meth:`DecoderLM.decode_step_batch` kernel on its one row, every shared
+computation is row-independent, all cross-request state (eviction policies, score
 accumulators, sampler RNGs, KV pages) is kept per request, mapped prefix
 pages hold exactly the bits a full prompt forward would recompute (and
 copy-on-write shields them from neighbours), and a preempted request restarts

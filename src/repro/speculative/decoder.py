@@ -4,7 +4,8 @@ One **round** of speculative decoding:
 
 1. the drafter proposes ``k`` candidate tokens after the last committed one;
 2. the target model scores the last committed token *and* every draft in a
-   single :meth:`~repro.models.transformer.DecoderLM.verify_step` pass —
+   single :meth:`~repro.models.transformer.DecoderLM.decode_step_batch`
+   pass over verify cache views (one query row per token) —
    appending all ``k + 1`` KV entries to its paged cache optimistically;
 3. greedy acceptance keeps the longest draft prefix whose tokens equal the
    target's own argmax chain, then commits one more token straight from the
@@ -60,13 +61,13 @@ class SoloVerifyTarget:
     def __init__(self, model: DecoderLM, manager: CacheManager):
         self.model = model
         self.manager = manager
-        self._views = manager.layer_views()
+        self._views = manager.verify_views()
 
     def verify(self, tokens: np.ndarray) -> np.ndarray:
         """Score ``tokens`` in one multi-query pass; returns ``(S, vocab)``."""
         start = self.manager.current_position
         positions = np.arange(start, start + len(tokens))
-        return self.model.verify_step(tokens, positions, self._views)
+        return self.model.decode_step_batch(tokens, positions, self._views)
 
     def commit(self, n_committed: int, n_appended: int) -> None:
         """Roll back the rejected tail and advance by the committed count."""
@@ -108,7 +109,7 @@ class BatchedRowVerifyTarget:
         views = manager.row_verify_views(self.row)
         lengths_before = manager.row_lengths(self.row)
         try:
-            return self.model.verify_step(tokens, positions, views)
+            return self.model.decode_step_batch(tokens, positions, views)
         except Exception:
             # Revert both the pages and the append accounting — a retried
             # round will count these tokens again.

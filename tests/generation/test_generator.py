@@ -159,6 +159,12 @@ class TestScoring:
         with pytest.raises(ValueError):
             generator.score_continuation([1, 2, 3], [])
 
+    def test_score_continuation_rejects_multi_row_prompt(self, tiny_rope_model):
+        """A batch of prompts is refused at entry, not deep inside the cache."""
+        generator = Generator(tiny_rope_model, make_policy("full"))
+        with pytest.raises(ValueError, match="one sequence at a time"):
+            generator.score_continuation([[1, 2, 3, 4], [5, 6, 7, 8]], [9, 10])
+
     def test_reduced_cache_changes_scores(self, rng):
         model = DecoderLM(tiny_config("rope"), seed=7)
         prompt = rng.integers(0, 64, size=40)

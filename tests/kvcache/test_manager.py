@@ -61,7 +61,8 @@ class TestDecodeFlow:
         k = rng.normal(size=(1, N_HEADS, D_HEAD))
         v = rng.normal(size=(1, N_HEADS, D_HEAD))
         view.append(k, v)
-        keys, values, key_pos, query_pos, keys_rotated = view.attention_view()
+        keys, values, key_pos, query_pos, lengths, keys_rotated = view.attention_view()
+        assert lengths.tolist() == [keys.shape[2]]
         assert keys_rotated is False  # no rope_dims configured in these tests
         # attention_view returns live views into the slab; snapshot them before
         # observe() may evict (the decode path consumes them before observing).
@@ -89,7 +90,7 @@ class TestDecodeFlow:
         _, key_pos, query_pos = self._step(manager, rng, 0)
         # Window kept original positions 6..11, new token appended at 12.
         np.testing.assert_array_equal(key_pos[0, 0], [6, 7, 8, 9, 10, 11, 12])
-        assert int(query_pos) == T
+        assert query_pos.tolist() == [T]
 
     def test_new_positions_are_contiguous(self, rng):
         policy = WindowAttentionPolicy(CachePolicyConfig(kv_fraction=0.5))
@@ -97,7 +98,7 @@ class TestDecodeFlow:
         manager.initialize_from_prompt(*prompt_inputs(rng), max_new_tokens=4)
         _, key_pos, query_pos = self._step(manager, rng, 0)
         np.testing.assert_array_equal(key_pos[0, 0], np.arange(7))
-        assert int(query_pos) == 6
+        assert query_pos.tolist() == [6]
 
     def test_stats_accounting(self, rng):
         policy = H2OPolicy(CachePolicyConfig(kv_fraction=0.5))

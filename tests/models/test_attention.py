@@ -79,24 +79,48 @@ class TestForward:
         np.testing.assert_allclose(dx.reshape(-1)[sampled], flat_num[sampled], atol=1e-5)
 
 
+def attend(attn, q, keys, values, query_position, key_positions):
+    """``attend_step_batch`` on one unpadded row: every head live to the end."""
+    length = keys.shape[2]
+    return attn.attend_step_batch(
+        q, keys, values, np.asarray([query_position]), key_positions, np.asarray([length])
+    )
+
+
 class TestDecodeStep:
-    @pytest.mark.parametrize("positional", ["rope", "alibi", "learned"])
-    def test_decode_matches_full_forward_last_row(self, positional, rng):
-        """Attending a single query over cached keys must reproduce the last row
-        of the full-sequence attention output."""
+    @pytest.mark.parametrize(
+        "positional,lengths",
+        [pytest.param(p, (6,), id=p) for p in ("rope", "alibi", "learned")]
+        + [pytest.param(p, (6, 3, 8), id=f"{p}-ragged") for p in ("rope", "alibi", "learned")],
+    )
+    def test_decode_matches_full_forward_last_row(self, positional, lengths, rng):
+        """Attending each row's query over its cached keys must reproduce the
+        last row of that row's own full-sequence attention output — also when
+        shorter rows are padded to the longest one."""
         attn, config = make_attention(positional)
-        t = 6
-        x = rng.normal(size=(1, t, config.d_model))
-        full_out = attn(x, store_attention=True)
-        k_raw, v = attn.last_kv
+        n, max_len = len(lengths), max(lengths)
+        shape = (n, config.n_heads, max_len, config.d_head)
+        keys, values = np.zeros(shape), np.zeros(shape)
+        last_x, full_last, full_probs = [], [], []
+        for b, t in enumerate(lengths):
+            x = rng.normal(size=(1, t, config.d_model))
+            full_out = attn(x, store_attention=True)
+            k_raw, v = attn.last_kv
+            keys[b, :, :t], values[b, :, :t] = k_raw[0], v[0]
+            last_x.append(x[0, -1])
+            full_last.append(full_out[0, -1])
+            full_probs.append(attn.last_attention[0, :, -1, :])
 
-        q, k_new, v_new = attn.project_qkv(x[:, -1, :])
-        np.testing.assert_allclose(k_new, k_raw[:, :, -1, :], atol=1e-10)
+        q, k_new, _ = attn.project_qkv(np.stack(last_x))
+        for b, t in enumerate(lengths):
+            np.testing.assert_allclose(k_new[b], keys[b, :, t - 1], atol=1e-10)
 
-        key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        out, logits, probs = attn.attend_step(q, k_raw, v, t - 1, key_positions)
-        np.testing.assert_allclose(out, full_out[:, -1, :], atol=1e-8)
-        np.testing.assert_allclose(probs[0], attn.last_attention[0, :, -1, :], atol=1e-8)
+        lengths = np.asarray(lengths)
+        key_positions = np.broadcast_to(np.arange(max_len), (n, config.n_heads, max_len))
+        out, _, probs = attn.attend_step_batch(q, keys, values, lengths - 1, key_positions, lengths)
+        for b, t in enumerate(lengths):
+            np.testing.assert_allclose(out[b], full_last[b], atol=1e-8)
+            np.testing.assert_allclose(probs[b, :, :t], full_probs[b], atol=1e-8)
 
     def test_logits_match_stored_scores(self, rng):
         attn, config = make_attention("alibi")
@@ -106,7 +130,7 @@ class TestDecodeStep:
         k_raw, v = attn.last_kv
         q, _, _ = attn.project_qkv(x[:, -1, :])
         key_positions = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        _, logits, _ = attn.attend_step(q, k_raw, v, t - 1, key_positions)
+        _, logits, _ = attend(attn, q, k_raw, v, t - 1, key_positions)
         np.testing.assert_allclose(logits[0], attn.last_scores[0, :, -1, :], atol=1e-8)
 
     def test_project_qkv_rejects_bad_shape(self, rng):
@@ -122,11 +146,11 @@ class TestDecodeStep:
         k_raw, v = attn.last_kv
         q, _, _ = attn.project_qkv(x[:, -1, :])
         all_pos = np.broadcast_to(np.arange(t), (1, config.n_heads, t))
-        full, _, _ = attn.attend_step(q, k_raw, v, t - 1, all_pos)
+        full, _, _ = attend(attn, q, k_raw, v, t - 1, all_pos)
         subset = np.arange(t - 3, t)
         sub_pos = np.broadcast_to(subset, (1, config.n_heads, 3))
-        reduced, _, probs = attn.attend_step(
-            q, k_raw[:, :, subset, :], v[:, :, subset, :], t - 1, sub_pos
+        reduced, _, probs = attend(
+            attn, q, k_raw[:, :, subset, :], v[:, :, subset, :], t - 1, sub_pos
         )
         assert not np.allclose(full, reduced)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)

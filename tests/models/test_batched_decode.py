@@ -77,8 +77,9 @@ class TestRowExactKernels:
 class TestAttendStepBatch:
     @pytest.mark.parametrize("positional", ["rope", "alibi", "none"])
     def test_ragged_rows_bitwise_equal_solo_attention(self, positional):
-        """Each row of the padded ragged attention step must match the
-        single-sequence ``attend_step`` on that row's exact-length cache."""
+        """Each row of the padded ragged attention step (the per-row loop)
+        must match the same kernel on that row's exact-length cache alone
+        (the unpadded fast path)."""
         rng = np.random.default_rng(4)
         attn = MultiHeadAttention(_config(positional), rng)
         batch, heads, d_head = 4, attn.n_heads, attn.d_head
@@ -95,19 +96,21 @@ class TestAttendStepBatch:
         )
         for b in range(batch):
             live = int(lengths[b])
-            solo_out, solo_logits, solo_probs = attn.attend_step(
+            solo_out, solo_logits, solo_probs = attn.attend_step_batch(
                 q[b : b + 1],
                 keys[b : b + 1, :, :live],
                 values[b : b + 1, :, :live],
-                np.asarray(int(query_positions[b])),
+                query_positions[b : b + 1],
                 key_positions[b : b + 1, :, :live],
+                lengths[b : b + 1],
             )
             np.testing.assert_array_equal(out[b : b + 1], solo_out)
             np.testing.assert_array_equal(logits[b, :, :live], solo_logits[0])
             np.testing.assert_array_equal(probs[b, :, :live], solo_probs[0])
 
     def test_equal_length_fast_path_bitwise(self):
-        """The no-padding batched softmax path must equal the per-row loop."""
+        """The no-padding batched softmax path must equal the per-row loop,
+        which the same rows take once one padding slot is added."""
         rng = np.random.default_rng(5)
         attn = MultiHeadAttention(_config("rope"), rng)
         batch, heads, d_head = 3, attn.n_heads, attn.d_head
@@ -121,17 +124,19 @@ class TestAttendStepBatch:
         out, logits, probs = attn.attend_step_batch(
             q, keys, values, query_positions, key_positions, lengths
         )
+
+        def pad(x):
+            width = [(0, 0)] * x.ndim
+            width[2] = (0, 1)
+            return np.pad(x, width)
+
+        loop_out, loop_logits, loop_probs = attn.attend_step_batch(
+            q, pad(keys), pad(values), query_positions, pad(key_positions), lengths
+        )
         for b in range(batch):
-            solo_out, solo_logits, solo_probs = attn.attend_step(
-                q[b : b + 1],
-                keys[b : b + 1],
-                values[b : b + 1],
-                np.asarray(int(query_positions[b])),
-                key_positions[b : b + 1],
-            )
-            np.testing.assert_array_equal(out[b : b + 1], solo_out)
-            np.testing.assert_array_equal(logits[b], solo_logits[0])
-            np.testing.assert_array_equal(probs[b], solo_probs[0])
+            np.testing.assert_array_equal(out[b : b + 1], loop_out[b : b + 1])
+            np.testing.assert_array_equal(logits[b], loop_logits[b, :, :length])
+            np.testing.assert_array_equal(probs[b], loop_probs[b, :, :length])
 
     def test_float32_masks_padding(self):
         rng = np.random.default_rng(6)

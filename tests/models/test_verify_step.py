@@ -1,4 +1,5 @@
-"""The multi-token verify kernel is bit-identical to sequential decoding."""
+"""A verify pass — ``decode_step_batch`` over verify cache views, one query
+row per draft token — is bit-identical to sequential decoding."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ def _sequential_reference(model, prompt, n):
     tokens = [int(np.argmax(logits[:, -1, :]))]
     rows = []
     for _ in range(n):
-        row = model.decode_step(np.asarray([tokens[-1]]), manager.current_position, views)
+        row = model.decode_step_batch(np.asarray([tokens[-1]]), manager.query_positions(), views)
         manager.advance()
         rows.append(row[0].copy())
         tokens.append(int(np.argmax(row)))
@@ -55,9 +56,9 @@ class TestVerifyStepBitExact:
 
         generator = Generator(model, FullAttentionPolicy())
         _, manager = generator._prompt_forward(prompt, PROMPT_LEN)
-        views = manager.layer_views()
+        views = manager.verify_views()
         positions = np.arange(manager.current_position, manager.current_position + BLOCK)
-        verify_logits = model.verify_step(np.asarray(tokens[:BLOCK]), positions, views)
+        verify_logits = model.decode_step_batch(np.asarray(tokens[:BLOCK]), positions, views)
         for i in range(BLOCK):
             np.testing.assert_array_equal(verify_logits[i], rows[i])
 
@@ -70,14 +71,13 @@ class TestVerifyStepBitExact:
 
         generator = Generator(model, FullAttentionPolicy())
         _, manager = generator._prompt_forward(prompt, PROMPT_LEN)
-        views = manager.layer_views()
         positions = np.arange(manager.current_position, manager.current_position + BLOCK)
-        model.verify_step(np.asarray(tokens[:BLOCK]), positions, views)
+        model.decode_step_batch(np.asarray(tokens[:BLOCK]), positions, manager.verify_views())
         committed = 3
         manager.commit_verify(committed, BLOCK)
         assert manager.caches[0].length == PROMPT_LEN + committed
-        row = model.decode_step(
-            np.asarray([tokens[committed]]), manager.current_position, views
+        row = model.decode_step_batch(
+            np.asarray([tokens[committed]]), manager.query_positions(), manager.layer_views()
         )
         np.testing.assert_array_equal(row[0], rows[committed])
 
@@ -89,8 +89,7 @@ class TestVerifyStepBitExact:
 
         generator = Generator(model, FullAttentionPolicy())
         _, manager = generator._prompt_forward(prompt, PROMPT_LEN)
-        views = manager.layer_views()
-        verify_logits = model.verify_step(
-            np.asarray(tokens[:1]), np.asarray([manager.current_position]), views
+        verify_logits = model.decode_step_batch(
+            np.asarray(tokens[:1]), np.asarray([manager.current_position]), manager.verify_views()
         )
         np.testing.assert_array_equal(verify_logits[0], rows[0])

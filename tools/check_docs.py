@@ -10,13 +10,21 @@ Verifies, with no dependencies beyond the standard library, that:
 3. every `path`-like inline-code reference to a tracked top-level artifact
    (``docs/…``, ``benchmarks/…``, ``tools/…``, ``examples/…``, ``src/…``,
    ``tests/…``) in those pages points at something that exists — stale file
-   references are doc drift.
+   references are doc drift;
+4. every inline-code ``Class.attr`` reference whose ``Class`` is defined
+   under ``src/`` names an attribute that class (or one of its base classes
+   defined under ``src/``, resolved by name) defines: a method, a class
+   attribute, or an instance attribute assigned as ``self.attr`` — stale API
+   references are doc drift too.  A class with a base from outside ``src/``
+   is checked only when that base is a builtin.
 
 Exit status is non-zero on any failure, so CI can gate on it.
 """
 
 from __future__ import annotations
 
+import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -32,6 +40,13 @@ CODE_PATH_RE = re.compile(
     r"`((?:docs|benchmarks|tools|examples|src|tests)/[A-Za-z0-9_./-]+)`"
 )
 FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+#: Inline-code spans, and ``Class.attr`` references inside one.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+CLASS_ATTR_RE = re.compile(r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+#: Class name -> (base class names, attribute names), merged over every
+#: class of that name defined under ``src/``.
+ClassIndex = dict[str, tuple[set[str], set[str]]]
 
 
 def _strip_code(text: str) -> str:
@@ -43,7 +58,70 @@ def _is_external(target: str) -> bool:
     return target.startswith(("http://", "https://", "mailto:", "#"))
 
 
-def check_file(path: Path) -> tuple[list[Path], list[str]]:
+def _name(node: ast.expr) -> str:
+    """The trailing name of a base-class expression (``a.b.C`` -> ``C``)."""
+    if isinstance(node, ast.Subscript):  # Generic[T], Protocol[T]
+        node = node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _targets(node: ast.expr) -> list[str]:
+    """Names bound by an assignment target in a class body."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _targets(elt)]
+    return []
+
+
+def index_classes(src: Path) -> ClassIndex:
+    """Index every class defined under ``src`` by name."""
+    classes: ClassIndex = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases, attrs = classes.setdefault(node.name, (set(), set()))
+            bases.update(_name(base) for base in node.bases)
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    attrs.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    attrs.update(n for t in item.targets for n in _targets(t))
+                elif isinstance(item, ast.AnnAssign):
+                    attrs.update(_targets(item.target))
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    attrs.add(sub.attr)
+    return classes
+
+
+def has_attr(classes: ClassIndex, name: str, attr: str, seen: frozenset = frozenset()) -> bool:
+    """Whether class ``name`` (or a base) defines ``attr``; unknown bases
+    from outside ``src/`` that are not builtins count as defining it."""
+    bases, attrs = classes[name]
+    if attr in attrs:
+        return True
+    for base in bases - seen - {name}:
+        if base in classes:
+            found = has_attr(classes, base, attr, seen | {name})
+        elif hasattr(builtins, base):
+            found = hasattr(getattr(builtins, base), attr)
+        else:
+            found = True  # e.g. Protocol or Enum: its attributes are unknown here
+        if found:
+            return True
+    return False
+
+
+def check_file(path: Path, classes: ClassIndex) -> tuple[list[Path], list[str]]:
     """Return ``(linked_markdown_files, errors)`` for one markdown page."""
     text = _strip_code(path.read_text())
     errors: list[str] = []
@@ -63,6 +141,12 @@ def check_file(path: Path) -> tuple[list[Path], list[str]]:
             errors.append(
                 f"{path.relative_to(REPO_ROOT)}: stale path reference -> {match.group(1)}"
             )
+    for span in CODE_SPAN_RE.finditer(text):
+        for name, attr in CLASS_ATTR_RE.findall(span.group(1)):
+            if name in classes and not has_attr(classes, name, attr):
+                errors.append(
+                    f"{path.relative_to(REPO_ROOT)}: stale API reference -> {name}.{attr}"
+                )
     return linked, errors
 
 
@@ -73,6 +157,7 @@ def main() -> int:
         print("FAILED: README.md does not exist")
         return 1
 
+    classes = index_classes(REPO_ROOT / "src")
     # Walk the link graph from README.md.
     reachable: set[Path] = set()
     queue = [README.resolve()]
@@ -81,7 +166,7 @@ def main() -> int:
         if page in reachable:
             continue
         reachable.add(page)
-        linked, page_errors = check_file(page)
+        linked, page_errors = check_file(page, classes)
         errors.extend(page_errors)
         queue.extend(linked)
 
@@ -96,7 +181,7 @@ def main() -> int:
         for error in errors:
             print(f"  {error}")
         return 1
-    print("OK — README reaches every docs page and no link is dead")
+    print("OK — README reaches every docs page, no link is dead, no API reference is stale")
     return 0
 
 
